@@ -37,7 +37,6 @@
  *             [--seeds N | --seed-list a,b,c]
  *             [--shard I/N]
  *             [--output PATH] [--manifest PATH]
- *             [--engine calendar|heap]
  *   galsbench --merge SHARD.jsonl... --output PATH
  *             [--merge-manifest SHARD.json... --manifest PATH]
  *   galsbench --verify MANIFEST [--jobs N]
@@ -49,9 +48,8 @@
  * per-record flushing, and resumes an interrupted dispatch from the
  * surviving records (docs/ORCHESTRATION.md).
  *
- * Environment: GALSSIM_INSTS, GALSSIM_BENCH and GALSSIM_ENGINE provide
- * defaults for --insts / --bench / --engine (the first two are the
- * knobs the old drivers honoured).
+ * Environment: GALSSIM_INSTS and GALSSIM_BENCH provide defaults for
+ * --insts / --bench (the knobs the old drivers honoured).
  */
 
 #include <algorithm>
@@ -85,7 +83,6 @@
 #include "runner/scenario.hh"
 #include "runner/stats.hh"
 #include "runner/trajectory.hh"
-#include "sim/event_queue.hh"
 
 using namespace gals;
 using namespace gals::runner;
@@ -108,7 +105,6 @@ usage(std::FILE *to, int exitCode)
         "                 [--traffic P,...] [--interval-ticks K]\n"
         "                 [--warmup-insts K] [--snapshot-dir PATH]\n"
         "                 [--output PATH] [--manifest PATH]\n"
-        "                 [--engine calendar|heap]\n"
         "       galsbench --merge SHARD... --output PATH\n"
         "                 [--merge-manifest SHARD... --manifest "
         "PATH]\n"
@@ -120,8 +116,7 @@ usage(std::FILE *to, int exitCode)
         "                 [--slices M] [--workers W] [--worker-jobs "
         "N]\n"
         "                 [--insts N] [--bench NAME] [--seed N]\n"
-        "                 [--seeds N | --seed-list a,b,c] [--engine "
-        "E]\n"
+        "                 [--seeds N | --seed-list a,b,c]\n"
         "                 [--cores A,B,...] [--topology T,...]\n"
         "                 [--traffic P,...] [--interval-ticks K]\n"
         "                 [--warmup-insts K] [--snapshot-dir PATH]\n"
@@ -174,9 +169,10 @@ usage(std::FILE *to, int exitCode)
         "  --warmup-insts K\n"
         "                  split every single-core run into K warmup\n"
         "                  instructions plus (insts - K) measured\n"
-        "                  ones (K must be < --insts); runs sharing\n"
-        "                  a warmup stem reuse one memoized warm\n"
-        "                  snapshot instead of re-simulating it\n"
+        "                  ones (K must be < --insts, and the grid\n"
+        "                  may not contain fabric runs); runs\n"
+        "                  sharing a warmup stem reuse one memoized\n"
+        "                  warm snapshot instead of re-simulating it\n"
         "  --snapshot-dir PATH\n"
         "                  existing directory where warm snapshots\n"
         "                  are exchanged on disk, so separate\n"
@@ -198,9 +194,6 @@ usage(std::FILE *to, int exitCode)
         "                  exact JSON-lines (default) or CSV bytes a\n"
         "                  native text run would have written, to\n"
         "                  --output PATH or stdout\n"
-        "  --engine E      event-queue engine: calendar (default) or\n"
-        "                  heap (A/B baseline; or GALSSIM_ENGINE).\n"
-        "                  Results are identical for either.\n"
         "\n"
         "dispatch runs the whole sweep as a crash-safe orchestration:\n"
         "the grid is split into M slices, worker subprocesses execute\n"
@@ -393,6 +386,35 @@ checkFabricAxes(const SweepOptions &opts)
         }
 }
 
+/** Reject --warmup-insts (exit 2 with usage) when any selected
+ *  scenario's grid holds a fabric run: warm snapshots are single-core
+ *  only, so expandReplicatedRuns() leaves fabric runs cold, and the
+ *  manifest would record a warmup split those records never took.
+ *  Unknown names are left to the caller's own check. */
+void
+checkWarmupGrid(const ScenarioRegistry &registry,
+                const std::vector<std::string> &names,
+                const SweepOptions &opts)
+{
+    if (opts.warmupInstructions == 0)
+        return;
+    for (const std::string &name : names) {
+        const Scenario *scenario = registry.find(name);
+        if (!scenario)
+            continue;
+        for (const RunConfig &cfg :
+             expandReplicatedRuns(*scenario, opts, nullptr))
+            if (cfg.fabric.active()) {
+                std::fprintf(stderr,
+                             "galsbench: --warmup-insts does not "
+                             "apply to fabric runs (scenario '%s' "
+                             "has one)\n",
+                             name.c_str());
+                usage(stderr, 2);
+            }
+    }
+}
+
 /** Flush std::cout and turn a write failure into exit 1: reports
  *  and listings must not masquerade as success on a full disk or
  *  dead pipe. */
@@ -454,26 +476,9 @@ fileListValue(const char *flag, int argc, char **argv, int &i,
     }
 }
 
-/** Strict engine-name parser: unknown values are a usage error with a
- *  clear message, for the flag and the environment variable alike
- *  (gals_fatal would abort with an internal file/line trace). */
-QueueEngine
-engineValue(const char *source, const char *name)
-{
-    if (!std::strcmp(name, "calendar"))
-        return QueueEngine::calendar;
-    if (!std::strcmp(name, "heap"))
-        return QueueEngine::heap;
-    std::fprintf(stderr,
-                 "galsbench: %s expects 'calendar' or 'heap', got '%s'\n",
-                 source, name);
-    usage(stderr, 2);
-    return QueueEngine::calendar; // unreachable
-}
-
-/** Strict --output extension check, matching the --engine style:
- *  an unknown extension is a usage error (exit 2), so a typo'd path
- *  cannot silently become a JSON-lines file nobody asked for. */
+/** Strict --output extension check: an unknown extension is a usage
+ *  error (exit 2), so a typo'd path cannot silently become a
+ *  JSON-lines file nobody asked for. */
 void
 checkOutputPath(const std::string &path)
 {
@@ -528,7 +533,6 @@ dispatchMain(int argc, char **argv, const ScenarioRegistry &registry)
 {
     DispatchOptions opts;
     opts.sweep = SweepOptions::fromEnvironment();
-    opts.engineName = queueEngineName(EventQueue::defaultEngine());
     opts.workerBinary = selfExePath();
     bool runAll = false;
     std::vector<std::string> cliBenchmarks;
@@ -614,9 +618,6 @@ dispatchMain(int argc, char **argv, const ScenarioRegistry &registry)
                              opts.snapshotDir.c_str());
                 return 2;
             }
-        } else if (!std::strcmp(arg, "--engine")) {
-            opts.engineName = queueEngineName(engineValue(
-                "--engine", argValue(argc, argv, i)));
         } else if (!std::strcmp(arg, "--retries")) {
             // N retries = N+1 attempts per slice.
             opts.policy.maxAttempts =
@@ -705,6 +706,7 @@ dispatchMain(int argc, char **argv, const ScenarioRegistry &registry)
         for (const Scenario &s : registry.all())
             opts.scenarios.push_back(s.name);
     }
+    checkWarmupGrid(registry, opts.scenarios, opts.sweep);
     if (opts.scenarios.empty()) {
         std::fprintf(stderr,
                      "galsbench: dispatch needs --scenario/--all\n");
@@ -873,8 +875,6 @@ main(int argc, char **argv)
     bench::registerAllScenarios(registry);
 
     SweepOptions opts = SweepOptions::fromEnvironment();
-    if (const char *env = std::getenv("GALSSIM_ENGINE"))
-        EventQueue::setDefaultEngine(engineValue("GALSSIM_ENGINE", env));
     // TEST-ONLY (docs/ORCHESTRATION.md): deterministic worker fault
     // injection for the orchestrator's crash-safety tests.
     if (const char *env = std::getenv("GALSSIM_FAULT")) {
@@ -1007,10 +1007,6 @@ main(int argc, char **argv)
             outputPath = argValue(argc, argv, i);
         } else if (!std::strcmp(arg, "--manifest")) {
             manifestPath = argValue(argc, argv, i);
-        } else if (!std::strcmp(arg, "--engine")) {
-            EventQueue::setDefaultEngine(
-                engineValue("--engine", argValue(argc, argv, i)));
-            sweepFlags.push_back("--engine");
         } else if (!std::strcmp(arg, "--resume-skip")) {
             // Hidden worker flag (galsbench dispatch relaunches):
             // the first N slice records are already on disk — append
@@ -1234,6 +1230,7 @@ main(int argc, char **argv)
         }
         scenarios.push_back(scenario);
     }
+    checkWarmupGrid(registry, selected, opts);
 
     if (opts.shard.active() && outputPath.empty() &&
         manifestPath.empty()) {
@@ -1376,8 +1373,7 @@ main(int argc, char **argv)
     if (sink)
         sink->close();
     if (!manifestPath.empty())
-        writeManifestFile(manifestPath, opts,
-                          queueEngineName(EventQueue::defaultEngine()),
+        writeManifestFile(manifestPath, opts, manifestEngineName,
                           outputPath, manifestScenarios);
 
     return stdoutExitCode();

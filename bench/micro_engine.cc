@@ -5,9 +5,7 @@
  * mixed-clock channel traffic, squash churn, and end-to-end
  * simulation rate of the base and GALS processors.
  *
- * Every event-queue benchmark is parameterized over the scheduling
- * engine (0 = calendar, 1 = heap) so one run produces the A/B
- * comparison recorded in docs/PERFORMANCE.md:
+ * The numbers recorded in docs/PERFORMANCE.md come from:
  *
  *   galsmicro --benchmark_repetitions=5
  *             --benchmark_report_aggregates_only=true
@@ -29,21 +27,12 @@ using namespace gals;
 namespace
 {
 
-QueueEngine
-engineArg(const benchmark::State &state)
+/** An event whose firing does nothing: measures the queue alone. */
+class NopEvent final : public Event
 {
-    return state.range(0) == 0 ? QueueEngine::calendar
-                               : QueueEngine::heap;
-}
-
-void
-setEngineLabel(benchmark::State &state, const std::string &extra = "")
-{
-    std::string label = queueEngineName(engineArg(state));
-    if (!extra.empty())
-        label += "/" + extra;
-    state.SetLabel(label);
-}
+  public:
+    void process() override {}
+};
 
 /** Hold-model event: every firing reschedules itself a pseudo-random
  *  increment into the future, keeping the queue population constant. */
@@ -73,21 +62,18 @@ class HoldEvent : public Event
 void
 BM_EventQueueScheduleService(benchmark::State &state)
 {
-    EventQueue eq("bench", engineArg(state));
-    std::vector<std::unique_ptr<CallbackEvent>> events;
-    for (int i = 0; i < 64; ++i)
-        events.push_back(std::make_unique<CallbackEvent>([] {}));
+    EventQueue eq("bench");
+    NopEvent events[64];
     std::uint64_t t = 1;
     for (auto _ : state) {
-        for (auto &ev : events)
-            eq.schedule(ev.get(), t += 3);
+        for (NopEvent &ev : events)
+            eq.schedule(&ev, t += 3);
         while (eq.serviceOne()) {
         }
     }
-    setEngineLabel(state);
     state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_EventQueueScheduleService)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueScheduleService);
 
 /**
  * Hold-model churn at a steady queue population: the classic
@@ -98,8 +84,8 @@ void
 BM_EventQueueHoldChurn(benchmark::State &state)
 {
     const std::size_t population =
-        static_cast<std::size_t>(state.range(1));
-    EventQueue eq("bench", engineArg(state));
+        static_cast<std::size_t>(state.range(0));
+    EventQueue eq("bench");
     Rng rng(0x9e3779b9u);
     std::vector<std::unique_ptr<HoldEvent>> events;
     for (std::size_t i = 0; i < population; ++i) {
@@ -111,11 +97,9 @@ BM_EventQueueHoldChurn(benchmark::State &state)
         for (int k = 0; k < 1024; ++k)
             eq.serviceOne();
     }
-    setEngineLabel(state, "n=" + std::to_string(population));
     state.SetItemsProcessed(state.iterations() * 1024);
 }
-BENCHMARK(BM_EventQueueHoldChurn)
-    ->ArgsProduct({{0, 1}, {16, 256, 4096}});
+BENCHMARK(BM_EventQueueHoldChurn)->Arg(16)->Arg(256)->Arg(4096);
 
 /**
  * Pure schedule/cancel churn: events are rescheduled to scattered
@@ -126,46 +110,22 @@ void
 BM_EventQueueScheduleCancel(benchmark::State &state)
 {
     const std::size_t population =
-        static_cast<std::size_t>(state.range(1));
-    EventQueue eq("bench", engineArg(state));
+        static_cast<std::size_t>(state.range(0));
+    EventQueue eq("bench");
     Rng rng(0x2545f491u);
-    std::vector<std::unique_ptr<CallbackEvent>> events;
-    for (std::size_t i = 0; i < population; ++i) {
-        events.push_back(std::make_unique<CallbackEvent>([] {}));
-        eq.schedule(events.back().get(), 1 + (rng.next64() & 4095));
-    }
+    std::vector<NopEvent> events(population);
+    for (NopEvent &ev : events)
+        eq.schedule(&ev, 1 + (rng.next64() & 4095));
     for (auto _ : state) {
-        for (std::size_t i = 0; i < population; ++i)
-            eq.reschedule(events[i].get(),
-                          1 + (rng.next64() & 4095));
+        for (NopEvent &ev : events)
+            eq.reschedule(&ev, 1 + (rng.next64() & 4095));
     }
-    setEngineLabel(state, "n=" + std::to_string(population));
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(population));
 }
-BENCHMARK(BM_EventQueueScheduleCancel)
-    ->ArgsProduct({{0, 1}, {16, 256, 4096}});
+BENCHMARK(BM_EventQueueScheduleCancel)->Arg(16)->Arg(256)->Arg(4096);
 
-void
-BM_ClockDomainTick(benchmark::State &state)
-{
-    EventQueue eq("bench", engineArg(state));
-    ClockDomain cd(eq, "clk", 1000);
-    std::uint64_t count = 0;
-    cd.addTicker([&count] { ++count; });
-    cd.start();
-    Tick until = 0;
-    for (auto _ : state) {
-        until += 1000 * 1000; // 1000 cycles
-        eq.runUntil(until);
-    }
-    benchmark::DoNotOptimize(count);
-    setEngineLabel(state);
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_ClockDomainTick)->Arg(0)->Arg(1);
-
-/** Counter ticker for the devirtualized dispatch path. */
+/** Counter ticker: one virtual call per edge. */
 class CountTicker final : public ClockDomain::Ticker
 {
   public:
@@ -173,15 +133,32 @@ class CountTicker final : public ClockDomain::Ticker
     std::uint64_t count = 0;
 };
 
+void
+BM_ClockDomainTick(benchmark::State &state)
+{
+    EventQueue eq("bench");
+    ClockDomain cd(eq, "clk", 1000);
+    CountTicker ticker;
+    cd.addTicker(ticker);
+    cd.start();
+    Tick until = 0;
+    for (auto _ : state) {
+        until += 1000 * 1000; // 1000 cycles
+        eq.runUntil(until);
+    }
+    benchmark::DoNotOptimize(ticker.count);
+    state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_ClockDomainTick);
+
 /**
  * Typed ticker dispatch: eight Ticker subclass nodes per edge — one
- * virtual call each, no std::function hop. Compare against
- * BM_TickerDispatchFunction for the devirtualization delta.
+ * virtual call each, no std::function hop.
  */
 void
 BM_TickerDispatchTyped(benchmark::State &state)
 {
-    EventQueue eq("bench", engineArg(state));
+    EventQueue eq("bench");
     ClockDomain cd(eq, "clk", 1000);
     CountTicker tickers[8];
     for (auto &t : tickers)
@@ -193,45 +170,20 @@ BM_TickerDispatchTyped(benchmark::State &state)
         eq.runUntil(until);
     }
     benchmark::DoNotOptimize(tickers[0].count);
-    setEngineLabel(state);
     state.SetItemsProcessed(state.iterations() * 1000 * 8);
 }
-BENCHMARK(BM_TickerDispatchTyped)->Arg(0)->Arg(1);
+BENCHMARK(BM_TickerDispatchTyped);
 
 /**
- * The same edge walk through the std::function adapter
- * (FunctionTicker), i.e. the pre-devirtualization dispatch cost.
- */
-void
-BM_TickerDispatchFunction(benchmark::State &state)
-{
-    EventQueue eq("bench", engineArg(state));
-    ClockDomain cd(eq, "clk", 1000);
-    std::uint64_t count = 0;
-    for (int i = 0; i < 8; ++i)
-        cd.addTicker([&count] { ++count; });
-    cd.start();
-    Tick until = 0;
-    for (auto _ : state) {
-        until += 1000 * 1000;
-        eq.runUntil(until);
-    }
-    benchmark::DoNotOptimize(count);
-    setEngineLabel(state);
-    state.SetItemsProcessed(state.iterations() * 1000 * 8);
-}
-BENCHMARK(BM_TickerDispatchFunction)->Arg(0)->Arg(1);
-
-/**
- * Same-tick edge batching: five domains with identical period and
- * phase, so every edge is a five-way (tick, priority) tie serviced as
- * one calendar batch — the GALS worst case for pop pressure and the
- * shape the batching fast path targets.
+ * Same-tick edge ties: five domains with identical period and phase,
+ * so every edge is a five-way (tick, priority) tie — the GALS worst
+ * case for pop pressure, served by the min cache's same-tick
+ * successor repair instead of a wheel scan per pop.
  */
 void
 BM_EdgeBatchChurn(benchmark::State &state)
 {
-    EventQueue eq("bench", engineArg(state));
+    EventQueue eq("bench");
     std::vector<std::unique_ptr<ClockDomain>> domains;
     CountTicker tickers[5];
     for (int i = 0; i < 5; ++i) {
@@ -246,30 +198,60 @@ BM_EdgeBatchChurn(benchmark::State &state)
         eq.runUntil(until);
     }
     benchmark::DoNotOptimize(tickers[0].count);
-    setEngineLabel(state);
     state.SetItemsProcessed(state.iterations() * 1000 * 5);
 }
-BENCHMARK(BM_EdgeBatchChurn)->Arg(0)->Arg(1);
+BENCHMARK(BM_EdgeBatchChurn);
+
+/** Producer side of BM_AsyncFifoTraffic: push whenever there is room. */
+class PushTicker final : public ClockDomain::Ticker
+{
+  public:
+    explicit PushTicker(Channel<int> &ch) : ch_(ch) {}
+
+    void
+    tick() override
+    {
+        if (ch_.canPush())
+            ch_.push(42);
+    }
+
+  private:
+    Channel<int> &ch_;
+};
+
+/** Consumer side of BM_AsyncFifoTraffic: drain everything visible. */
+class DrainTicker final : public ClockDomain::Ticker
+{
+  public:
+    explicit DrainTicker(Channel<int> &ch) : ch_(ch) {}
+
+    void
+    tick() override
+    {
+        while (!ch_.empty()) {
+            ch_.pop();
+            ++moved;
+        }
+    }
+
+    std::uint64_t moved = 0;
+
+  private:
+    Channel<int> &ch_;
+};
 
 /** Steady-state mixed-clock FIFO traffic between two domains. */
 void
 BM_AsyncFifoTraffic(benchmark::State &state)
 {
-    EventQueue eq("bench", engineArg(state));
+    EventQueue eq("bench");
     ClockDomain prod(eq, "prod", 1000, 0);
     ClockDomain cons(eq, "cons", 1300, 400);
     Channel<int> ch("ch", ChannelMode::asyncFifo, prod, cons, 16, 2);
-    std::uint64_t moved = 0;
-    prod.addTicker([&] {
-        if (ch.canPush())
-            ch.push(42);
-    });
-    cons.addTicker([&] {
-        while (!ch.empty()) {
-            ch.pop();
-            ++moved;
-        }
-    });
+    PushTicker producer(ch);
+    DrainTicker consumer(ch);
+    prod.addTicker(producer);
+    cons.addTicker(consumer);
     prod.start();
     cons.start();
     Tick until = 0;
@@ -277,11 +259,10 @@ BM_AsyncFifoTraffic(benchmark::State &state)
         until += 1000 * 1000;
         eq.runUntil(until);
     }
-    benchmark::DoNotOptimize(moved);
-    setEngineLabel(state);
-    state.SetItemsProcessed(static_cast<std::int64_t>(moved));
+    benchmark::DoNotOptimize(consumer.moved);
+    state.SetItemsProcessed(static_cast<std::int64_t>(consumer.moved));
 }
-BENCHMARK(BM_AsyncFifoTraffic)->Arg(0)->Arg(1);
+BENCHMARK(BM_AsyncFifoTraffic);
 
 /**
  * Channel squash churn: fill, squash half mid-list (the pipeline-
@@ -291,7 +272,7 @@ BENCHMARK(BM_AsyncFifoTraffic)->Arg(0)->Arg(1);
 void
 BM_ChannelSquashChurn(benchmark::State &state)
 {
-    EventQueue eq("bench", QueueEngine::calendar);
+    EventQueue eq("bench");
     ClockDomain prod(eq, "prod", 1000, 0);
     ClockDomain cons(eq, "cons", 1000, 500);
     Channel<int> ch("ch", ChannelMode::asyncFifo, prod, cons, 32, 2);
@@ -318,11 +299,7 @@ BENCHMARK(BM_ChannelSquashChurn);
 void
 BM_SimulationRate(benchmark::State &state)
 {
-    const bool gals_mode = state.range(1) != 0;
-    // runOne constructs its own EventQueue, so the engine choice rides
-    // on the process-wide default for the duration of this benchmark.
-    const QueueEngine saved = EventQueue::defaultEngine();
-    EventQueue::setDefaultEngine(engineArg(state));
+    const bool gals_mode = state.range(0) != 0;
     std::uint64_t insts = 0;
     for (auto _ : state) {
         RunConfig rc;
@@ -333,13 +310,10 @@ BM_SimulationRate(benchmark::State &state)
         benchmark::DoNotOptimize(r.ipcNominal);
         insts += r.committed;
     }
-    EventQueue::setDefaultEngine(saved);
-    setEngineLabel(state, gals_mode ? "gals" : "base");
+    state.SetLabel(gals_mode ? "gals" : "base");
     state.SetItemsProcessed(static_cast<std::int64_t>(insts));
 }
-BENCHMARK(BM_SimulationRate)
-    ->ArgsProduct({{0, 1}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimulationRate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /**
  * Warm-state memoization payoff: a four-cell DVFS sweep whose cells

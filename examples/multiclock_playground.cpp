@@ -20,6 +20,86 @@
 
 using namespace gals;
 
+namespace
+{
+
+/** Prints every edge of its clock domain; subclasses add FIFO work. */
+class EdgeLogger : public ClockDomain::Ticker
+{
+  public:
+    explicit EdgeLogger(ClockDomain &clk) : clk_(clk)
+    {
+        clk.addTicker(*this);
+    }
+
+    void
+    tick() override
+    {
+        std::printf("%7.1f ns  %s edge (cycle %llu)",
+                    clk_.eventQueue().now() / 1000.0, clk_.name().c_str(),
+                    static_cast<unsigned long long>(clk_.cycle()));
+        onEdge();
+        std::printf("\n");
+    }
+
+  protected:
+    virtual void onEdge() {}
+
+    ClockDomain &clk_;
+};
+
+/** Domain 1: pushes a fresh token whenever the full flag is clear. */
+class Producer final : public EdgeLogger
+{
+  public:
+    Producer(ClockDomain &clk, Channel<int> &fifo)
+        : EdgeLogger(clk), fifo_(fifo)
+    {
+    }
+
+  private:
+    void
+    onEdge() override
+    {
+        if (!fifo_.canPush()) {
+            std::printf("  (fifo full-flag set)");
+            return;
+        }
+        fifo_.push(next_);
+        std::printf("  -> push token %d", next_++);
+    }
+
+    Channel<int> &fifo_;
+    int next_ = 0;
+};
+
+/** Domain 3: drains every token the synchronizer has made visible. */
+class Consumer final : public EdgeLogger
+{
+  public:
+    Consumer(ClockDomain &clk, Channel<int> &fifo)
+        : EdgeLogger(clk), fifo_(fifo)
+    {
+    }
+
+  private:
+    void
+    onEdge() override
+    {
+        const Tick now = clk_.eventQueue().now();
+        while (!fifo_.empty()) {
+            std::printf("  <- pop token %d (waited %.1f ns)",
+                        fifo_.front(),
+                        (now - fifo_.frontPushTick()) / 1000.0);
+            fifo_.pop();
+        }
+    }
+
+    Channel<int> &fifo_;
+};
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -37,39 +117,9 @@ main(int argc, char **argv)
     Channel<int> fifo("fifo.1to3", ChannelMode::asyncFifo, clk1, clk3,
                       4, 2);
 
-    int next_token = 0;
-    clk1.addTicker([&] {
-        std::printf("%7.1f ns  clock1 edge (cycle %llu)",
-                    eq.now() / 1000.0,
-                    static_cast<unsigned long long>(clk1.cycle()));
-        if (fifo.canPush()) {
-            fifo.push(next_token);
-            std::printf("  -> push token %d", next_token);
-            ++next_token;
-        } else {
-            std::printf("  (fifo full-flag set)");
-        }
-        std::printf("\n");
-    });
-
-    clk2.addTicker([&] {
-        std::printf("%7.1f ns  clock2 edge (cycle %llu)\n",
-                    eq.now() / 1000.0,
-                    static_cast<unsigned long long>(clk2.cycle()));
-    });
-
-    clk3.addTicker([&] {
-        std::printf("%7.1f ns  clock3 edge (cycle %llu)",
-                    eq.now() / 1000.0,
-                    static_cast<unsigned long long>(clk3.cycle()));
-        while (!fifo.empty()) {
-            std::printf("  <- pop token %d (waited %.1f ns)",
-                        fifo.front(),
-                        (eq.now() - fifo.frontPushTick()) / 1000.0);
-            fifo.pop();
-        }
-        std::printf("\n");
-    });
+    Producer producer(clk1, fifo);
+    EdgeLogger observer(clk2);
+    Consumer consumer(clk3, fifo);
 
     clk1.start();
     clk2.start();

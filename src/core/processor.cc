@@ -1,11 +1,9 @@
 #include "core/processor.hh"
 
 #include <cmath>
-#include <ostream>
 
 #include "sim/logging.hh"
 #include "sim/snapshot_io.hh"
-#include "stats/stats.hh"
 
 namespace gals
 {
@@ -439,93 +437,6 @@ Processor::snapshotRestore(SnapshotReader &r)
             const auto pr = static_cast<PhysRegId>(reg);
             c->scoreboard().observe(pr, rn.epochOf(pr));
         }
-}
-
-void
-Processor::dumpStats(std::ostream &os)
-{
-    using stats::Scalar;
-    using stats::StatGroup;
-
-    StatGroup top(cfg_.gals ? "gals" : "base");
-    auto scalar = [&top](const char *name, double v, const char *desc) {
-        auto *s = new Scalar(&top, name, desc);
-        *s = v;
-        return s;
-    };
-
-    const CommitStats &cs = decode_->commitStats();
-    const double period = static_cast<double>(cfg_.nominalPeriod);
-    const double cycles = static_cast<double>(endTick_) / period;
-
-    scalar("sim_ticks", static_cast<double>(endTick_),
-           "simulated time (ps)");
-    scalar("committed_insts", static_cast<double>(cs.committed),
-           "committed instructions");
-    scalar("ipc", cycles > 0 ? cs.committed / cycles : 0,
-           "instructions per nominal cycle");
-    scalar("fetched_insts", static_cast<double>(fetch_->fetched()),
-           "all fetched instructions");
-    scalar("wrong_path_insts",
-           static_cast<double>(fetch_->wrongPathFetched()),
-           "wrong-path fetches (paper Fig 8)");
-    scalar("redirects", static_cast<double>(fetch_->redirects()),
-           "branch mispredict recoveries");
-    scalar("avg_slip_cycles",
-           cs.committed ? cs.slipSumTicks / cs.committed / period : 0,
-           "fetch-to-commit latency (paper Fig 6)");
-    scalar("avg_fifo_slip_cycles",
-           cs.committed
-               ? cs.fifoSlipSumTicks / cs.committed / period
-               : 0,
-           "slip inside async FIFOs (paper Fig 7)");
-    scalar("rob_occupancy", decode_->avgRobOccupancy(), "");
-    scalar("int_renames", decode_->avgIntRenames(),
-           "speculative int registers in flight");
-    scalar("il1_miss_rate", hier_.il1().missRate(), "");
-    scalar("dl1_miss_rate", hier_.dl1().missRate(), "");
-    scalar("l2_miss_rate", hier_.l2().missRate(), "");
-    scalar("energy_mj", finalizeEnergyNj() * 1e-6, "total energy");
-    scalar("avg_power_w",
-           endTick_ ? finalizeEnergyNj() * 1e-9 /
-                          tickToSeconds(endTick_)
-                    : 0,
-           "average power");
-
-    StatGroup domains("domains", &top);
-    std::vector<std::unique_ptr<Scalar>> owned;
-    for (unsigned i = 0; i < numDomains; ++i) {
-        const auto id = static_cast<DomainId>(i);
-        auto s = std::make_unique<Scalar>(
-            &domains, std::string(domainName(id)) + "_cycles",
-            "clock cycles");
-        *s = static_cast<double>(domain(id).cycle());
-        owned.push_back(std::move(s));
-    }
-
-    StatGroup energy_grp("energy", &top);
-    for (unsigned i = 0; i < numUnits; ++i) {
-        const Unit u = static_cast<Unit>(i);
-        auto s = std::make_unique<Scalar>(
-            &energy_grp, unitName(u), "energy (nJ)");
-        *s = energy_.unitEnergyNj(u);
-        owned.push_back(std::move(s));
-    }
-
-    StatGroup fifos("channels", &top);
-    for (const ChannelBase *ch : allChannels_) {
-        auto s = std::make_unique<Scalar>(&fifos,
-                                          ch->name() + ".pushes", "");
-        *s = static_cast<double>(ch->pushes());
-        owned.push_back(std::move(s));
-    }
-
-    top.dump(os);
-
-    // Scalars created with `new` for the flat group: reclaim them.
-    for (stats::Stat *s : std::vector<stats::Stat *>(
-             top.statList().begin(), top.statList().end()))
-        delete s;
 }
 
 std::uint64_t

@@ -15,7 +15,6 @@
 #include "runner/json.hh"
 #include "runner/scenario.hh"
 #include "runner/trajectory.hh"
-#include "sim/event_queue.hh"
 
 namespace gals::runner
 {
@@ -227,7 +226,7 @@ rankOf(const std::vector<std::string> &order, const std::string &name)
 struct ParsedManifest
 {
     std::string version;    ///< galssim_version
-    std::string engineName; ///< "calendar" / "heap"
+    std::string engineName; ///< "calendar" (or the retired "heap")
     SweepOptions opts;      ///< instructions, seeds, benchmarks, shard
     std::string output;     ///< trajectory path; empty when null
     std::vector<ManifestScenario> scenarios;
@@ -865,7 +864,10 @@ verifyManifest(const ScenarioRegistry &registry,
              << " — results are not comparable\n";
         return false;
     }
-    if (m.engineName != "calendar" && m.engineName != "heap") {
+    // Archives from before the heap engine was retired may name it;
+    // both engines popped events in the same order, so the replay on
+    // the calendar queue must reproduce them too.
+    if (m.engineName != manifestEngineName && m.engineName != "heap") {
         diag << "verify: unknown engine '" << m.engineName << "'\n";
         return false;
     }
@@ -905,16 +907,6 @@ verifyManifest(const ScenarioRegistry &registry,
         diag << "verify: " << err << "\n";
         return false;
     }
-
-    // The archived engine governs the replay, but the override must
-    // not leak past this call (test binaries and future multi-verify
-    // CLIs run other work after us).
-    struct EngineRestore
-    {
-        QueueEngine prev = EventQueue::defaultEngine();
-        ~EngineRestore() { EventQueue::setDefaultEngine(prev); }
-    } engineRestore;
-    EventQueue::setDefaultEngine(parseQueueEngine(m.engineName));
 
     const TrajectoryFormat format =
         trajectoryFormatForPath(m.output);

@@ -526,7 +526,7 @@ runDispatch(const ScenarioRegistry &registry,
     std::ostringstream plan;
     plan << "{\"event\":\"plan\",\"galssim_version\":"
          << jsonQuote(galssimVersion())
-         << ",\"engine\":" << jsonQuote(opts.engineName)
+         << ",\"engine\":" << jsonQuote(manifestEngineName)
          << ",\"slices\":" << M
          << ",\"output\":" << jsonQuote(opts.outputPath)
          << ",\"instructions\":" << opts.sweep.instructions
@@ -828,8 +828,6 @@ runDispatch(const ScenarioRegistry &registry,
             argv.push_back("--snapshot-dir");
             argv.push_back(opts.snapshotDir);
         }
-        argv.push_back("--engine");
-        argv.push_back(opts.engineName);
         argv.push_back("--output");
         argv.push_back(rt.recordsPath);
         argv.push_back("--manifest");

@@ -227,10 +227,6 @@ struct DispatchOptions
      *  field is ignored — dispatch owns the slicing. */
     SweepOptions sweep;
 
-    /** Event-queue engine name ("calendar" / "heap"), passed to
-     *  every worker and recorded in the manifests. */
-    std::string engineName = "calendar";
-
     /** Final merged trajectory (JSON-lines or gtrj — CSV cannot be
      *  crash-resumed). The work directory is
      *  `<outputPath>.dispatch/`. */

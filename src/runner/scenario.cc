@@ -109,7 +109,8 @@ expandReplicatedRuns(const Scenario &s, const SweepOptions &opts,
     // the same way, but only onto single-core runs: fabric runs do
     // not support warm snapshots, and leaving their field at 0 keeps
     // their hashes unchanged instead of silently ignoring the option
-    // mid-run (runOne asserts the combination never reaches it).
+    // mid-run (runOne asserts the combination never reaches it, and
+    // galsbench rejects --warmup-insts for grids with fabric runs).
     for (RunConfig &cfg : all) {
         cfg.intervalTicks = opts.intervalTicks;
         if (!cfg.fabric.active())

@@ -55,9 +55,8 @@ TrajectoryFormat trajectoryFormatForPath(const std::string &path);
 
 /** Strict CLI-side parse of a `--output` path: true with @p out set
  *  for the known extensions (`.jsonl` / `.json` / `.csv` / `.gtrj`),
- *  false for anything else — the caller rejects with usage, like the
- *  `--engine` validation, instead of silently writing JSON lines to
- *  a surprising filename. */
+ *  false for anything else — the caller rejects with usage instead
+ *  of silently writing JSON lines to a surprising filename. */
 bool trajectoryFormatForCliPath(const std::string &path,
                                 TrajectoryFormat &out);
 
@@ -150,9 +149,19 @@ struct ManifestScenario
 };
 
 /**
+ * The `"engine"` value new manifests and dispatch plan lines record.
+ * The simulator has one event queue (the calendar queue); the field
+ * stays so archived manifests and resumable dispatch work dirs keep
+ * their exact bytes. `--verify` also accepts archives naming the
+ * retired `"heap"` engine, which popped events in the same order.
+ */
+inline constexpr const char *manifestEngineName = "calendar";
+
+/**
  * Write the run manifest as deterministic pretty-printed JSON: fixed
  * key order, no timestamps or host details. @p engineName is the
- * event-queue engine (queueEngineName()), @p outputPath the
+ * `"engine"` value (manifestEngineName, or the value carried over
+ * from the shard manifests being merged), @p outputPath the
  * trajectory file this manifest describes (empty when --output was
  * not given). A sharded sweep (opts.shard.active()) additionally
  * records a `"shard": {"index": i, "count": N}` object; the scenario

@@ -24,21 +24,17 @@ ClockDomain::ClockDomain(EventQueue &eq, std::string name, Tick period,
 
 ClockDomain::~ClockDomain()
 {
-    while (Ticker *t = tickers_.popFront()) {
+    while (Ticker *t = tickers_.popFront())
         t->tickerDomain_ = nullptr;
-        if (t->tickerOwned_)
-            delete t;
-    }
 }
 
 void
-ClockDomain::registerTicker(Ticker *t, int priority, bool owned)
+ClockDomain::registerTicker(Ticker *t, int priority)
 {
     gals_assert(t->tickerDomain_ == nullptr, "clock domain '", name_,
                 "': ticker is already registered");
     t->tickerDomain_ = this;
     t->tickerPriority_ = priority;
-    t->tickerOwned_ = owned;
 
     // Insert before the first node with a strictly greater priority,
     // scanning from the tail: equal priorities keep registration
@@ -48,14 +44,6 @@ ClockDomain::registerTicker(Ticker *t, int priority, bool owned)
     while (pos != nullptr && pos->tickerPriority_ > priority)
         pos = TickerList::prev(pos);
     tickers_.insertAfter(pos, t);
-}
-
-ClockDomain::Ticker *
-ClockDomain::addTicker(std::function<void()> fn, int priority)
-{
-    Ticker *t = new FunctionTicker(std::move(fn));
-    registerTicker(t, priority, true);
-    return t;
 }
 
 void
@@ -74,15 +62,12 @@ ClockDomain::removeTicker(Ticker *ticker)
                 "': ticker is not registered here");
     if (ticker == current_) {
         // Called from within the ticker's own tick(): the edge walk
-        // still holds this node, so defer the unlink (and delete, for
-        // owned adapters) until its callback returns.
+        // still holds this node, so defer the unlink until its
+        // callback returns.
         pendingSelfRemove_ = true;
         return;
     }
-    const bool owned = ticker->tickerOwned_;
     unregisterTicker(ticker);
-    if (owned)
-        delete ticker;
 }
 
 void
@@ -163,10 +148,7 @@ ClockDomain::edge()
         current_ = nullptr;
         if (pendingSelfRemove_) {
             pendingSelfRemove_ = false;
-            const bool owned = t->tickerOwned_;
             unregisterTicker(t);
-            if (owned)
-                delete t;
         }
         t = next;
     }

@@ -18,16 +18,15 @@
  * the per-edge hot path is a plain list walk with one indirect call per
  * stage — no std::function hop, no allocation, no deferred sorting.
  * Lists stay sorted at insertion (ascending priority, then
- * registration order). A std::function adapter node remains for tests
- * and examples via the callback addTicker() overload.
+ * registration order).
  */
 
 #ifndef SIM_CLOCK_DOMAIN_HH
 #define SIM_CLOCK_DOMAIN_HH
 
-#include <functional>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "sim/event_queue.hh"
 #include "sim/intrusive_list.hh"
@@ -74,24 +73,6 @@ class ClockDomain
         IntrusiveLink<Ticker> link_;
         ClockDomain *tickerDomain_ = nullptr;
         int tickerPriority_ = 0;
-        /** Heap-allocated adapter owned (and deleted) by the domain. */
-        bool tickerOwned_ = false;
-    };
-
-    /** Owned adapter wrapping a callback in a Ticker node; kept for
-     *  tests and examples — stages should derive from Ticker. */
-    class FunctionTicker final : public Ticker
-    {
-      public:
-        explicit FunctionTicker(std::function<void()> fn)
-            : fn_(std::move(fn))
-        {
-        }
-
-        void tick() override { fn_(); }
-
-      private:
-        std::function<void()> fn_;
     };
 
     /**
@@ -118,21 +99,15 @@ class ClockDomain
     std::enable_if_t<std::is_base_of_v<Ticker, T>, Ticker *>
     addTicker(T &ticker, int priority = 50)
     {
-        registerTicker(&ticker, priority, false);
+        registerTicker(&ticker, priority);
         return &ticker;
     }
 
     /**
-     * Register a callback through an owned FunctionTicker adapter.
-     * @return a handle for removeTicker(); may be ignored.
-     */
-    Ticker *addTicker(std::function<void()> fn, int priority = 50);
-
-    /**
-     * Unregister a ticker; O(1). Owned adapter nodes are destroyed.
-     * Safe to call from within the running ticker's own tick(): the
-     * unlink is deferred until that tick() returns (removing a
-     * *different* ticker mid-edge takes effect immediately).
+     * Unregister a ticker; O(1). Safe to call from within the
+     * running ticker's own tick(): the unlink is deferred until that
+     * tick() returns (removing a *different* ticker mid-edge takes
+     * effect immediately).
      */
     void removeTicker(Ticker *ticker);
 
@@ -207,7 +182,7 @@ class ClockDomain
 
     using TickerList = IntrusiveList<Ticker>;
 
-    void registerTicker(Ticker *t, int priority, bool owned);
+    void registerTicker(Ticker *t, int priority);
     void unregisterTicker(Ticker *t);
     void edge();
 

@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <utility>
 
@@ -9,37 +8,6 @@
 
 namespace gals
 {
-
-namespace
-{
-
-constexpr QueueEngine builtinDefaultEngine =
-#ifdef GALSSIM_HEAP_EVENTQUEUE
-    QueueEngine::heap;
-#else
-    QueueEngine::calendar;
-#endif
-
-std::atomic<QueueEngine> g_defaultEngine{builtinDefaultEngine};
-
-} // namespace
-
-QueueEngine
-parseQueueEngine(const std::string &name)
-{
-    if (name == "calendar")
-        return QueueEngine::calendar;
-    if (name == "heap")
-        return QueueEngine::heap;
-    gals_fatal("unknown event-queue engine '", name,
-               "' (expected calendar or heap)");
-}
-
-const char *
-queueEngineName(QueueEngine engine)
-{
-    return engine == QueueEngine::calendar ? "calendar" : "heap";
-}
 
 Event::Event(std::string name, int priority)
     : name_(std::move(name)), priority_(priority)
@@ -55,18 +23,6 @@ Event::~Event()
 {
     if (scheduled())
         queue_->deschedule(this);
-}
-
-CallbackEvent::CallbackEvent(std::function<void()> fn, std::string name,
-                             int priority)
-    : Event(std::move(name), priority), fn_(std::move(fn))
-{
-}
-
-void
-CallbackEvent::process()
-{
-    fn_();
 }
 
 PeriodicEvent::PeriodicEvent(std::function<void()> fn, Tick period,
@@ -103,38 +59,18 @@ PeriodicEvent::process()
     fn_();
 }
 
-QueueEngine
-EventQueue::defaultEngine()
+EventQueue::EventQueue(std::string name)
+    : name_(std::move(name)), buckets_(calInitialBuckets)
 {
-    return g_defaultEngine.load(std::memory_order_relaxed);
-}
-
-void
-EventQueue::setDefaultEngine(QueueEngine engine)
-{
-    g_defaultEngine.store(engine, std::memory_order_relaxed);
-}
-
-EventQueue::EventQueue(std::string name, QueueEngine engine)
-    : name_(std::move(name)), engine_(engine)
-{
-    if (engine_ == QueueEngine::calendar)
-        buckets_ = std::vector<Bucket>(calInitialBuckets);
 }
 
 EventQueue::~EventQueue()
 {
     // Orphan any still-scheduled events so their destructors do not
     // touch a dead queue.
-    if (engine_ == QueueEngine::heap) {
-        for (Event *ev : set_)
+    for (Bucket &b : buckets_)
+        for (Event *ev = b.head(); ev != nullptr; ev = Bucket::next(ev))
             ev->queue_ = nullptr;
-    } else {
-        for (Bucket &b : buckets_)
-            for (Event *ev = b.head(); ev != nullptr;
-                 ev = Bucket::next(ev))
-                ev->queue_ = nullptr;
-    }
 }
 
 void
@@ -149,10 +85,6 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->seq_ = nextSeq_++;
     ev->queue_ = this;
     ++size_;
-    if (engine_ == QueueEngine::heap) {
-        set_.insert(ev);
-        return;
-    }
     calInsert(ev);
     if (size_ > calGrowPerBucket * buckets_.size())
         calResize(buckets_.size() * 2);
@@ -168,10 +100,6 @@ EventQueue::schedulePeriodicRepeat(PeriodicEvent *ev)
     ev->seq_ = nextSeq_++;
     ev->queue_ = this;
     ++size_;
-    if (engine_ == QueueEngine::heap) {
-        set_.insert(ev);
-        return;
-    }
     calInsert(ev);
 }
 
@@ -181,17 +109,7 @@ EventQueue::deschedule(Event *ev)
     gals_assert(ev != nullptr, "null event");
     gals_assert(ev->queue_ == this, "event '", ev->name(),
                 "' is not scheduled on this queue");
-    if (engine_ == QueueEngine::heap) {
-        auto it = set_.find(ev);
-        gals_assert(it != set_.end(), "scheduled event '", ev->name(),
-                    "' missing from queue");
-        set_.erase(it);
-    } else {
-        calRemove(ev);
-    }
-    --size_;
-    if (engine_ == QueueEngine::calendar)
-        calMaybeShrink();
+    detach(ev);
     ev->queue_ = nullptr;
 }
 
@@ -238,7 +156,7 @@ EventQueue::calRemove(Event *ev)
     // equal when() always share a bucket and buckets are sorted, so
     // when the minimum is removed and its successor carries the same
     // time, that successor is the new global minimum — the case that
-    // makes same-tick batches O(1) per pop. A successor at a later
+    // makes each pop of a same-tick tie O(1). A successor at a later
     // time proves nothing (another bucket may hold an earlier year),
     // so the cache falls back to "unknown".
     if (minCache_ == ev) {
@@ -255,8 +173,6 @@ EventQueue::calFindMin() const
 {
     if (size_ == 0)
         return nullptr;
-    if (minCache_ != nullptr)
-        return minCache_;
 
     // Classic calendar-queue search: walk one wheel revolution
     // starting at the bucket covering now(), accepting the first
@@ -289,7 +205,8 @@ void
 EventQueue::calResize(std::size_t newBuckets)
 {
     // Unlink every event into one chain, then re-insert under the new
-    // geometry. Pointers stay valid, so the min cache survives.
+    // geometry. Pointers stay valid, so the min cache survives: a
+    // known minimum is never beaten by a re-inserted event.
     Bucket all;
     Tick minWhen = maxTick;
     Tick maxWhen = 0;
@@ -312,10 +229,8 @@ EventQueue::calResize(std::size_t newBuckets)
         widthLog2_ = std::bit_width(gap) - 1;
     }
 
-    Event *saveMin = minCache_;
     while (Event *ev = all.popFront())
         calInsert(ev);
-    minCache_ = saveMin;
 }
 
 void
@@ -327,24 +242,11 @@ EventQueue::calMaybeShrink()
 }
 
 void
-EventQueue::removeMin(Event *ev)
+EventQueue::detach(Event *ev)
 {
-    if (engine_ == QueueEngine::heap)
-        set_.erase(set_.begin());
-    else
-        calRemove(ev);
+    calRemove(ev);
     --size_;
-    if (engine_ == QueueEngine::calendar)
-        calMaybeShrink();
-}
-
-Event *
-EventQueue::popMin()
-{
-    Event *ev = peekMin();
-    if (ev != nullptr)
-        removeMin(ev);
-    return ev;
+    calMaybeShrink();
 }
 
 Tick
@@ -355,8 +257,9 @@ EventQueue::nextEventTime() const
 }
 
 void
-EventQueue::serviceEvent(Event *ev)
+EventQueue::service(Event *ev)
 {
+    detach(ev);
     gals_assert(ev->when_ >= now_, "event queue went backwards");
     now_ = ev->when_;
     ev->queue_ = nullptr;
@@ -378,44 +281,22 @@ EventQueue::serviceEvent(Event *ev)
 bool
 EventQueue::serviceOne()
 {
-    Event *ev = popMin();
+    Event *ev = peekMin();
     if (ev == nullptr)
         return false;
-    serviceEvent(ev);
+    service(ev);
     return true;
-}
-
-std::uint64_t
-EventQueue::serviceBatch(Event *first)
-{
-    // Drain the whole (when, priority) tie in one pop run: the min
-    // cache is repaired in O(1) while same-tick successors remain
-    // (see calRemove), so only the final pop of a batch pays a wheel
-    // scan. Events scheduled by a callback at the same (when,
-    // priority) carry larger seqs, sort behind the pending tie, and
-    // are picked up by this same loop — element-wise identical to
-    // servicing one event at a time.
-    const Tick when = first->when_;
-    const int pri = first->priority_;
-    Event *ev = first;
-    std::uint64_t n = 0;
-    do {
-        removeMin(ev);
-        serviceEvent(ev);
-        ++n;
-        ev = peekMin();
-    } while (ev != nullptr && ev->when_ == when &&
-             ev->priority_ == pri);
-    return n;
 }
 
 std::uint64_t
 EventQueue::runUntil(Tick until)
 {
     std::uint64_t n = 0;
-    for (Event *ev = peekMin();
-         ev != nullptr && ev->when_ <= until; ev = peekMin())
-        n += serviceBatch(ev);
+    for (Event *ev = peekMin(); ev != nullptr && ev->when_ <= until;
+         ev = peekMin()) {
+        service(ev);
+        ++n;
+    }
     if (now_ < until)
         now_ = until;
     return n;
@@ -425,8 +306,10 @@ std::uint64_t
 EventQueue::runAll()
 {
     std::uint64_t n = 0;
-    for (Event *ev = peekMin(); ev != nullptr; ev = peekMin())
-        n += serviceBatch(ev);
+    for (Event *ev = peekMin(); ev != nullptr; ev = peekMin()) {
+        service(ev);
+        ++n;
+    }
     return n;
 }
 

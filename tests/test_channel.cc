@@ -15,6 +15,7 @@
 #include <tuple>
 
 #include "core/channel.hh"
+#include "tests/callback_adapters.hh"
 
 using namespace gals;
 
@@ -292,13 +293,13 @@ TEST_P(ChannelProperty, NoLossNoReorderLatencyBound)
     std::deque<Tick> push_times;
     bool ok = true;
 
-    prod.addTicker([&] {
+    addTicker(prod, [&] {
         if (next_push < 300 && ch.canPush()) {
             push_times.push_back(eq.now());
             ch.push(next_push++);
         }
     });
-    cons.addTicker([&] {
+    addTicker(cons, [&] {
         while (!ch.empty()) {
             // Ordering property.
             if (ch.front() != expect_pop)
@@ -363,11 +364,11 @@ TEST(AsyncChannel, IntrusivePoolReuseKeepsOrderUnderChurn)
     std::uint64_t popped = 0, squashed = 0;
     bool ordered = true;
 
-    prod.addTicker([&] {
+    addTicker(prod, [&] {
         if (next_push < 5000 && ch.canPush())
             ch.push(++next_push);
     });
-    cons.addTicker([&] {
+    addTicker(cons, [&] {
         // Every ~16 consumer edges, squash the odd survivors from the
         // middle of the list instead of popping.
         if (cons.cycle() % 16 == 0 && ch.rawSize() > 1) {
@@ -431,7 +432,7 @@ TEST(SyncChannel, PropertySweepSameClock)
                               4);
     std::uint64_t next_push = 0, expect_pop = 0;
     bool ok = true;
-    cons.addTicker([&] {
+    addTicker(cons, [&] {
         while (!ch.empty()) {
             if (ch.front() != expect_pop)
                 ok = false;
@@ -439,7 +440,7 @@ TEST(SyncChannel, PropertySweepSameClock)
             ch.pop();
         }
     });
-    prod.addTicker([&] {
+    addTicker(prod, [&] {
         for (int k = 0; k < 2 && next_push < 500; ++k)
             if (ch.canPush())
                 ch.push(next_push++);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/clock_domain.hh"
+#include "tests/callback_adapters.hh"
 
 using namespace gals;
 
@@ -18,7 +19,7 @@ TEST(ClockDomain, TicksAtPeriod)
     EventQueue eq;
     ClockDomain cd(eq, "c", 1000);
     std::vector<Tick> edges;
-    cd.addTicker([&] { edges.push_back(eq.now()); });
+    addTicker(cd, [&] { edges.push_back(eq.now()); });
     cd.start();
     eq.runUntil(3500);
     EXPECT_EQ(edges, (std::vector<Tick>{0, 1000, 2000, 3000}));
@@ -29,7 +30,7 @@ TEST(ClockDomain, PhaseOffsetsFirstEdge)
     EventQueue eq;
     ClockDomain cd(eq, "c", 1000, 250);
     std::vector<Tick> edges;
-    cd.addTicker([&] { edges.push_back(eq.now()); });
+    addTicker(cd, [&] { edges.push_back(eq.now()); });
     cd.start();
     eq.runUntil(2500);
     EXPECT_EQ(edges, (std::vector<Tick>{250, 1250, 2250}));
@@ -49,9 +50,9 @@ TEST(ClockDomain, TickerPriorityOrder)
     EventQueue eq;
     ClockDomain cd(eq, "c", 1000);
     std::vector<int> order;
-    cd.addTicker([&] { order.push_back(2); }, 50);
-    cd.addTicker([&] { order.push_back(1); }, 10);
-    cd.addTicker([&] { order.push_back(3); }, 90);
+    addTicker(cd, [&] { order.push_back(2); }, 50);
+    addTicker(cd, [&] { order.push_back(1); }, 10);
+    addTicker(cd, [&] { order.push_back(3); }, 90);
     cd.start();
     eq.runUntil(0);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
@@ -62,8 +63,8 @@ TEST(ClockDomain, EqualPriorityRegistrationOrder)
     EventQueue eq;
     ClockDomain cd(eq, "c", 1000);
     std::vector<int> order;
-    cd.addTicker([&] { order.push_back(1); });
-    cd.addTicker([&] { order.push_back(2); });
+    addTicker(cd, [&] { order.push_back(1); });
+    addTicker(cd, [&] { order.push_back(2); });
     cd.start();
     eq.runUntil(0);
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -74,7 +75,7 @@ TEST(ClockDomain, StopHaltsEdges)
     EventQueue eq;
     ClockDomain cd(eq, "c", 100);
     int ticks = 0;
-    cd.addTicker([&] { ++ticks; });
+    addTicker(cd, [&] { ++ticks; });
     cd.start();
     eq.runUntil(250);
     cd.stop();
@@ -88,7 +89,7 @@ TEST(ClockDomain, RetimeTakesEffectNextEdge)
     EventQueue eq;
     ClockDomain cd(eq, "c", 100);
     std::vector<Tick> edges;
-    cd.addTicker([&] {
+    addTicker(cd, [&] {
         edges.push_back(eq.now());
         if (edges.size() == 2)
             cd.setPeriod(300);
@@ -148,7 +149,7 @@ TEST(ClockDomain, SetPhaseBeforeStart)
     ClockDomain cd(eq, "c", 1000);
     cd.setPhase(420);
     std::vector<Tick> edges;
-    cd.addTicker([&] { edges.push_back(eq.now()); });
+    addTicker(cd, [&] { edges.push_back(eq.now()); });
     cd.start();
     eq.runUntil(1500);
     EXPECT_EQ(edges, (std::vector<Tick>{420, 1420}));
@@ -169,8 +170,8 @@ TEST(ClockDomain, TwoDomainsInterleave)
     ClockDomain a(eq, "a", 200);
     ClockDomain b(eq, "b", 300, 50);
     std::vector<std::pair<char, Tick>> log;
-    a.addTicker([&] { log.emplace_back('a', eq.now()); });
-    b.addTicker([&] { log.emplace_back('b', eq.now()); });
+    addTicker(a, [&] { log.emplace_back('a', eq.now()); });
+    addTicker(b, [&] { log.emplace_back('b', eq.now()); });
     a.start();
     b.start();
     eq.runUntil(650);
@@ -195,10 +196,10 @@ TEST(ClockDomain, RemoveTickerHeadMiddleTail)
     EventQueue eq;
     ClockDomain cd(eq, "c", 100);
     std::string log;
-    auto *a = cd.addTicker([&] { log += 'a'; }, 10);
-    auto *b = cd.addTicker([&] { log += 'b'; }, 20);
-    auto *c = cd.addTicker([&] { log += 'c'; }, 30);
-    auto *d = cd.addTicker([&] { log += 'd'; }, 40);
+    auto *a = addTicker(cd, [&] { log += 'a'; }, 10);
+    auto *b = addTicker(cd, [&] { log += 'b'; }, 20);
+    auto *c = addTicker(cd, [&] { log += 'c'; }, 30);
+    auto *d = addTicker(cd, [&] { log += 'd'; }, 40);
     cd.start();
     eq.runUntil(0);
     EXPECT_EQ(log, "abcd");
@@ -224,7 +225,7 @@ TEST(ClockDomain, RemoveTickerHeadMiddleTail)
     EXPECT_EQ(log, "");
 
     // Registration after emptying the list works again.
-    cd.addTicker([&] { log += 'e'; });
+    addTicker(cd, [&] { log += 'e'; });
     eq.runUntil(500);
     EXPECT_EQ(log, "e");
 }
@@ -236,11 +237,11 @@ TEST(ClockDomain, TickerPriorityAndRegistrationOrder)
     EventQueue eq;
     ClockDomain cd(eq, "c", 100);
     std::string log;
-    cd.addTicker([&] { log += '1'; }, 50);
-    cd.addTicker([&] { log += '2'; }, 50);
-    cd.addTicker([&] { log += '0'; }, 10);
-    cd.addTicker([&] { log += '3'; }, 50);
-    cd.addTicker([&] { log += '9'; }, 90);
+    addTicker(cd, [&] { log += '1'; }, 50);
+    addTicker(cd, [&] { log += '2'; }, 50);
+    addTicker(cd, [&] { log += '0'; }, 10);
+    addTicker(cd, [&] { log += '3'; }, 50);
+    addTicker(cd, [&] { log += '9'; }, 90);
     cd.start();
     eq.runUntil(0);
     EXPECT_EQ(log, "01239");
@@ -271,7 +272,7 @@ TEST(ClockDomain, TypedTickerRegistration)
     CountingTicker a(log, 'a');
     CountingTicker c(log, 'c');
     cd.addTicker(a, 10);
-    cd.addTicker([&] { log += 'b'; }, 20);
+    addTicker(cd, [&] { log += 'b'; }, 20);
     cd.addTicker(c, 30);
     cd.start();
     eq.runUntil(100);
@@ -307,14 +308,14 @@ TEST(ClockDomain, RemoveSelfFromOwnCallback)
     ClockDomain cd(eq, "c", 100);
     std::string log;
     ClockDomain::Ticker *b = nullptr;
-    cd.addTicker([&] { log += 'a'; }, 10);
-    b = cd.addTicker(
+    addTicker(cd, [&] { log += 'a'; }, 10);
+    b = addTicker(cd,
         [&] {
             log += 'b';
             cd.removeTicker(b); // self-removal mid-tick
         },
         20);
-    cd.addTicker([&] { log += 'c'; }, 30);
+    addTicker(cd, [&] { log += 'c'; }, 30);
     cd.start();
 
     // Edge 0: b still runs (and asks to go), and the walk continues
@@ -334,7 +335,7 @@ TEST(ClockDomain, RemoveSoleTickerFromOwnCallback)
     ClockDomain cd(eq, "c", 100);
     int ticks = 0;
     ClockDomain::Ticker *t = nullptr;
-    t = cd.addTicker([&] {
+    t = addTicker(cd, [&] {
         ++ticks;
         cd.removeTicker(t);
     });
@@ -343,7 +344,7 @@ TEST(ClockDomain, RemoveSoleTickerFromOwnCallback)
     EXPECT_EQ(ticks, 1);
 
     // The list is empty and usable again.
-    cd.addTicker([&] { ticks += 10; });
+    addTicker(cd, [&] { ticks += 10; });
     eq.runUntil(400);
     EXPECT_EQ(ticks, 11);
 }
@@ -356,7 +357,7 @@ TEST(ClockDomain, RemoveNextTickerMidEdge)
     ClockDomain cd(eq, "c", 100);
     std::string log;
     ClockDomain::Ticker *c = nullptr;
-    cd.addTicker(
+    addTicker(cd,
         [&] {
             log += 'a';
             if (c != nullptr) {
@@ -366,8 +367,8 @@ TEST(ClockDomain, RemoveNextTickerMidEdge)
             }
         },
         10);
-    c = cd.addTicker([&] { log += 'c'; }, 20);
-    cd.addTicker([&] { log += 'd'; }, 30);
+    c = addTicker(cd, [&] { log += 'c'; }, 20);
+    addTicker(cd, [&] { log += 'd'; }, 30);
     cd.start();
     eq.runUntil(0);
     EXPECT_EQ(log, "ad");
@@ -386,16 +387,16 @@ TEST(ClockDomain, MidTickAddRunsSameEdgeWhenLater)
     ClockDomain cd(eq, "c", 100);
     std::string log;
     bool added = false;
-    cd.addTicker(
+    addTicker(cd,
         [&] {
             log += 'a';
             if (!added) {
                 added = true;
-                cd.addTicker([&] { log += 'n'; }, 50);
+                addTicker(cd, [&] { log += 'n'; }, 50);
             }
         },
         10);
-    cd.addTicker([&] { log += 'z'; }, 90);
+    addTicker(cd, [&] { log += 'z'; }, 90);
     cd.start();
     eq.runUntil(0);
     EXPECT_EQ(log, "anz");

@@ -9,6 +9,7 @@
 
 #include "core/processor.hh"
 #include "dvfs/controller.hh"
+#include "tests/callback_adapters.hh"
 
 using namespace gals;
 
@@ -25,7 +26,7 @@ struct FakeLoad
     explicit FakeLoad(double work_per_cycle)
         : domain(eq, "dom", 1000), perCycle(work_per_cycle)
     {
-        domain.addTicker([this] {
+        addTicker(domain, [this] {
             acc_ += perCycle;
             while (acc_ >= 1.0) {
                 ++work;

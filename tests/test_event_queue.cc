@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "tests/callback_adapters.hh"
 
 using namespace gals;
 

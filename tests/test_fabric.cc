@@ -4,8 +4,7 @@
  * routing, traffic-matrix parsing, FabricConfig validation, the
  * single-core identity guarantee (an inert fabric config is
  * bit-for-bit the classic single-Processor run), and the determinism
- * contract (repeat runs and calendar-vs-heap engines byte-identical,
- * per-core records included).
+ * contract (repeat runs byte-identical, per-core records included).
  */
 
 #include <gtest/gtest.h>
@@ -186,17 +185,12 @@ TEST(System, DeterministicRepeatRuns)
               std::string::npos);
 }
 
-TEST(System, EnginesAgreeByteForByte)
+TEST(System, MeshHotspotRepeatRunsAgree)
 {
     const RunConfig cfg =
         fabricCfg(6, TopologyKind::mesh2d, "hotspot:1");
-    const QueueEngine prev = EventQueue::defaultEngine();
-    EventQueue::setDefaultEngine(QueueEngine::calendar);
-    const std::string cal = recordBytes(cfg, runOne(cfg));
-    EventQueue::setDefaultEngine(QueueEngine::heap);
-    const std::string heap = recordBytes(cfg, runOne(cfg));
-    EventQueue::setDefaultEngine(prev);
-    EXPECT_EQ(cal, heap);
+    EXPECT_EQ(recordBytes(cfg, runOne(cfg)),
+              recordBytes(cfg, runOne(cfg)));
 }
 
 TEST(System, EveryCoreReachesItsCommitTarget)

@@ -8,9 +8,8 @@
  * the interval series strictly additive. Second, the series itself
  * is part of the deterministic output: samples must be
  * byte-identical (checked through the gtrj frame encoding, which
- * covers every field bit-for-bit) across job counts and across the
- * calendar/heap event-queue engines, or archived metered
- * trajectories could never be `--verify`d.
+ * covers every field bit-for-bit) across job counts, or archived
+ * metered trajectories could never be `--verify`d.
  */
 
 #include <gtest/gtest.h>
@@ -163,18 +162,3 @@ TEST(RunMeter, SeriesIsByteIdenticalAcrossJobCounts)
     EXPECT_EQ(framesOf(cfgs, serial), framesOf(cfgs, parallel));
 }
 
-TEST(RunMeter, SeriesIsByteIdenticalAcrossQueueEngines)
-{
-    RunConfig cfg = meteredConfig(3, /*gals=*/true);
-    cfg.intervalTicks = 1500;
-
-    const QueueEngine saved = EventQueue::defaultEngine();
-    EventQueue::setDefaultEngine(QueueEngine::calendar);
-    const RunResults calendar = runOne(cfg);
-    EventQueue::setDefaultEngine(QueueEngine::heap);
-    const RunResults heap = runOne(cfg);
-    EventQueue::setDefaultEngine(saved);
-
-    ASSERT_FALSE(calendar.intervals.empty());
-    EXPECT_EQ(framesOf({cfg}, {calendar}), framesOf({cfg}, {heap}));
-}

@@ -26,6 +26,7 @@
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "bench/register_all.hh"
@@ -856,6 +857,84 @@ TEST_F(DispatchIntegration, RetryCapExhaustionFailsTheDispatch)
                             status, err))
         << err;
     EXPECT_EQ(status.find("state")->str, "failed");
+}
+
+// ------------------------------------------------------ CLI validation
+
+/** Run galsbench with @p args (stdout discarded, stderr captured into
+ *  @p err); @return its exit status, or -1 if it did not exit. */
+int
+runGalsbench(const std::string &args, std::string &err)
+{
+    const std::string errPath = tempPath("cli_stderr.txt");
+    const std::string cmd = "'" + galsbenchBinary() + "' " + args +
+                            " > /dev/null 2> '" + errPath + "'";
+    const int status = std::system(cmd.c_str());
+    err = slurp(errPath);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+class Cli : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        if (galsbenchBinary().empty())
+            GTEST_SKIP() << "galsbench binary not found (set "
+                            "GALSBENCH)";
+    }
+};
+
+TEST_F(Cli, SweepRejectsWarmupOnFabricRuns)
+{
+    // Fabric runs take no warm snapshots; the flag must not be
+    // silently dropped while the manifest claims the split.
+    const std::string out = tempPath("cli_fabric_warm.jsonl");
+    std::remove(out.c_str());
+    std::string err;
+    EXPECT_EQ(runGalsbench("--scenario fabric_smoke --insts 3000 "
+                           "--warmup-insts 1000 --output " + out,
+                           err),
+              2);
+    EXPECT_NE(err.find("--warmup-insts does not apply to fabric"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    EXPECT_FALSE(fs::exists(out));
+
+    // --cores 1 turns the fabric scenario's grid single-core, so the
+    // split applies and the run proceeds.
+    EXPECT_EQ(runGalsbench("--scenario fabric_smoke --cores 1 --insts "
+                           "3000 --warmup-insts 1000 --format json",
+                           err),
+              0)
+        << err;
+}
+
+TEST_F(Cli, DispatchRejectsWarmupOnFabricRuns)
+{
+    const std::string out = tempPath("cli_dispatch_warm.jsonl");
+    fs::remove_all(out + ".dispatch");
+    std::string err;
+    EXPECT_EQ(runGalsbench("dispatch --scenario fabric_smoke --insts "
+                           "3000 --warmup-insts 1000 --output " + out,
+                           err),
+              2);
+    EXPECT_NE(err.find("--warmup-insts does not apply to fabric"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    EXPECT_FALSE(fs::exists(out + ".dispatch"));
+}
+
+TEST_F(Cli, RetiredEngineFlagIsUnknown)
+{
+    std::string err;
+    EXPECT_EQ(runGalsbench("--scenario quickstart --engine heap", err),
+              2);
+    EXPECT_NE(err.find("unknown argument '--engine'"),
+              std::string::npos)
+        << err;
 }
 
 TEST_F(DispatchIntegration, ConcurrentDispatchIsLockedOut)

@@ -253,9 +253,11 @@ namespace
 {
 
 /** Archive a small sweep (trajectory + manifest) the way galsbench
- *  does, into @p dir; returns the manifest path. */
+ *  does, into @p dir, recording @p engine; returns the manifest
+ *  path. */
 std::string
-archiveSweep(const std::string &dir, const std::string &trajName)
+archiveSweep(const std::string &dir, const std::string &trajName,
+             const std::string &engine = manifestEngineName)
 {
     SweepOptions opts;
     opts.instructions = 1500;
@@ -272,10 +274,19 @@ archiveSweep(const std::string &dir, const std::string &trajName)
     sink.close();
 
     const std::string manifestPath = dir + trajName + ".manifest";
-    writeManifestFile(manifestPath, opts, "calendar", trajName,
+    writeManifestFile(manifestPath, opts, engine, trajName,
                       {{scenario->name, gridSize, 2,
                         runConfigHash(runs)}});
     return manifestPath;
+}
+
+std::string
+readAll(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    return buf.str();
 }
 
 } // namespace
@@ -291,6 +302,61 @@ TEST(Verify, ReplayOfArchivedManifestIsByteIdentical)
                                manifest, diag))
         << diag.str();
     EXPECT_NE(diag.str().find("OK"), std::string::npos);
+}
+
+TEST(Verify, ManifestBytesMatchThePinnedFormat)
+{
+    // Captured from a build that still had the heap engine and its
+    // run-time switch: retiring them must not move manifest bytes.
+    const std::string dir = ::testing::TempDir();
+    const std::string manifest =
+        archiveSweep(dir, "verify_pinned.jsonl");
+    EXPECT_EQ(readAll(manifest),
+              "{\n"
+              "  \"manifest_version\": 1,\n"
+              "  \"galssim_version\": \"0.5.0\",\n"
+              "  \"engine\": \"calendar\",\n"
+              "  \"instructions\": 1500,\n"
+              "  \"seeds\": [0, 1],\n"
+              "  \"benchmarks\": [\"gcc\"],\n"
+              "  \"output\": \"verify_pinned.jsonl\",\n"
+              "  \"output_format\": \"jsonl\",\n"
+              "  \"scenarios\": [\n"
+              "    {\"name\": \"quickstart\", \"grid\": 2, "
+              "\"replicas\": 2, \"runs\": 4, \"config_hash\": "
+              "\"2f3ea49f4a33634d\"}\n"
+              "  ]\n"
+              "}\n");
+}
+
+TEST(Verify, ArchiveNamingTheRetiredHeapEngineStillVerifies)
+{
+    // The heap engine popped events in the same order as the calendar
+    // queue, so its archives replay byte-identically on it.
+    const std::string dir = ::testing::TempDir();
+    const std::string manifest =
+        archiveSweep(dir, "verify_heap.jsonl", "heap");
+    ASSERT_NE(readAll(manifest).find("\"engine\": \"heap\""),
+              std::string::npos);
+
+    std::ostringstream diag;
+    EXPECT_TRUE(verifyManifest(registry(), ExperimentEngine(2),
+                               manifest, diag))
+        << diag.str();
+}
+
+TEST(Verify, UnknownEngineFails)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string manifest =
+        archiveSweep(dir, "verify_wheel.jsonl", "wheel");
+
+    std::ostringstream diag;
+    EXPECT_FALSE(verifyManifest(registry(), ExperimentEngine(1),
+                                manifest, diag));
+    EXPECT_NE(diag.str().find("unknown engine 'wheel'"),
+              std::string::npos)
+        << diag.str();
 }
 
 TEST(Verify, TamperedTrajectoryFailsWithRecordDiff)
