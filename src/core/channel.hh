@@ -27,11 +27,13 @@
  * reproduced, and count pushes/pops for the FIFO power model.
  *
  * Storage is an intrusive doubly-linked list over a pool of
- * capacity() entry nodes preallocated at construction — a channel can
+ * capacity() entry nodes allocated at construction — a channel can
  * never hold more than capacity() items — so the push/pop/squash hot
  * path in the domain-crossing traffic performs no allocations:
  * push takes a node from the embedded free list, pop returns it, and
- * squash unlinks mid-list nodes in O(1) each.
+ * squash unlinks mid-list nodes in O(1) each. Nodes are constructed on
+ * first use, so a deep message FIFO that never fills costs neither
+ * construction time nor resident memory for its unused tail.
  */
 
 #ifndef CORE_CHANNEL_HH
@@ -42,6 +44,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "sim/clock_domain.hh"
@@ -144,12 +147,8 @@ class Channel : public ChannelBase
             unsigned syncEdges = 2, bool streaming = true)
         : ChannelBase(std::move(name), mode, producer, consumer, capacity,
                       syncEdges, streaming),
-          pool_(std::make_unique<Node[]>(capacity))
+          pool_(std::allocator<Node>().allocate(capacity))
     {
-        // Thread every pool node onto the free list. full() bounds
-        // the occupancy at capacity_, so the pool can never run dry.
-        for (std::size_t i = 0; i < capacity; ++i)
-            free_.pushFront(&pool_[i]);
     }
 
     ~Channel() override
@@ -157,6 +156,9 @@ class Channel : public ChannelBase
         for (Node *n = queue_.head(); n != nullptr;
              n = NodeList::next(n))
             n->destroyItem();
+        static_assert(std::is_trivially_destructible_v<Node>,
+                      "pool nodes are released without destruction");
+        std::allocator<Node>().deallocate(pool_, capacity_);
     }
 
     /**
@@ -320,13 +322,16 @@ class Channel : public ChannelBase
 
     using NodeList = IntrusiveList<Node>;
 
+    /** A recycled node, else the next never-used one. full() bounds
+     *  the occupancy at capacity_, so the pool can never run dry. */
     Node *
     takeFree()
     {
-        Node *n = free_.popFront();
-        gals_assert(n != nullptr, "channel '", name_,
+        if (Node *n = free_.popFront())
+            return n;
+        gals_assert(fresh_ < capacity_, "channel '", name_,
                     "' entry pool exhausted");
-        return n;
+        return new (&pool_[fresh_++]) Node();
     }
 
     void
@@ -336,9 +341,10 @@ class Channel : public ChannelBase
             freeVisible_.pop_front();
     }
 
-    std::unique_ptr<Node[]> pool_; ///< capacity() nodes, fixed for life
-    NodeList free_;                ///< recycled nodes
-    NodeList queue_;               ///< FIFO order, oldest at head
+    Node *pool_;            ///< storage for capacity() nodes
+    std::size_t fresh_ = 0; ///< nodes of pool_ constructed so far
+    NodeList free_;         ///< recycled nodes
+    NodeList queue_;        ///< FIFO order, oldest at head
     std::size_t size_ = 0;
 
     /** Pop-time slot releases not yet observed by the producer;

@@ -142,8 +142,8 @@ Processor::buildStages()
 
     fetch_ = std::make_unique<FetchStage>(
         cfg_.core, dom(DomainId::fetch), dom(DomainId::memd), gen_,
-        hier_, energy_, *fetchToDecode_, *redirect_, *bpredUpdate_,
-        cfg_.gals, cfg_.syncEdges);
+        hier_, energy_, instPool_, *fetchToDecode_, *redirect_,
+        *bpredUpdate_, cfg_.gals, cfg_.syncEdges);
     fetch_->onSquash([this](InstSeqNum seq) { squashFrom(seq); });
 
     decode_ = std::make_unique<DecodeCommitUnit>(

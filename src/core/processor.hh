@@ -153,6 +153,7 @@ class Processor
     CacheHierarchy &caches() { return hier_; }
     EnergyAccount &energy() { return energy_; }
     const PowerModel &powerModel() const { return powerModel_; }
+    const DynInstPool &instPool() const { return instPool_; }
     ClockDomain &domain(DomainId d)
     {
         return *domains_[domainIndex(d)];
@@ -194,6 +195,10 @@ class Processor
     CacheHierarchy hier_;
     PowerModel powerModel_;
     EnergyAccount energy_;
+
+    /** Every in-flight instruction of this core. Declared ahead of the
+     *  channels and stages so it outlives every handle they hold. */
+    DynInstPool instPool_;
 
     PerDomain<std::unique_ptr<ClockDomain>> domains_;
 

@@ -159,6 +159,10 @@ produceWarmupSnapshot(const RunConfig &cfg)
 
     WarmupMachine m(wc);
     m.proc.runWarmup(wc.instructions);
+    // Quiescence implies no instruction is referenced anywhere; the
+    // snapshot format relies on it.
+    gals_assert(m.proc.instPool().live() == 0,
+                "warm snapshot with live in-flight instructions");
 
     SnapshotWriter w;
     w.str(snapshotMagic);

@@ -237,8 +237,8 @@ ExecDomain::issue(Tick now)
         return true;
     };
 
-    const auto selected = iq_.selectIssue(issueWidth(), fu_ok);
-    for (const DynInstPtr &inst : selected) {
+    iq_.selectIssue(issueWidth(), fu_ok, selected_);
+    for (const DynInstPtr &inst : selected_) {
         const unsigned lat = execLatencyCycles(inst);
         inst->issueTick = now;
         const Tick done = now + static_cast<Tick>(lat) * domain_.period();
@@ -263,6 +263,9 @@ ExecDomain::issue(Tick now)
             break;
         }
     }
+    // Keep the buffer's capacity, not its handles: the completion
+    // heap now owns the issued instructions.
+    selected_.clear();
 }
 
 void
@@ -274,10 +277,9 @@ ExecDomain::handleStoreCommits()
         const StoreCommitMsg m = storeCommitIn_->front();
         storeCommitIn_->pop();
         energy_.chargeAccess(Unit::dcache);
-        const MemAccessOutcome oc =
-            hier_->dataAccess(m.inst->memAddr, true);
+        const MemAccessOutcome oc = hier_->dataAccess(m.memAddr, true);
         energy_.chargeAccess(Unit::l2cache, oc.l2Accesses);
-        lsq_.removeStore(m.inst->seq);
+        lsq_.removeStore(m.seq);
     }
 }
 
@@ -303,8 +305,9 @@ ExecDomain::squashAfter(InstSeqNum afterSeq)
     iq_.squashAfter(afterSeq);
     if (kind_ == ExecKind::memCluster)
         lsq_.squashAfter(afterSeq);
-    // Completion-heap entries carry the shared DynInst, whose squashed
-    // flag is set by the ROB walk; processCompletions drops them.
+    // Completion-heap entries keep their own handle to the squashed
+    // instruction (the ROB walk set its squashed flag), so it stays
+    // readable until processCompletions pops and drops it.
 }
 
 double

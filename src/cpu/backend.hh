@@ -132,6 +132,9 @@ class ExecDomain : public ClockDomain::Ticker
                         std::greater<Completion>>
         completions_;
 
+    /** Reused selectIssue() output buffer; empty between cycles. */
+    std::vector<DynInstPtr> selected_;
+
     std::uint64_t issued_ = 0;
     std::uint64_t completed_ = 0;
     std::uint64_t occSamples_ = 0;

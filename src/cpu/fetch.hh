@@ -39,7 +39,8 @@ class FetchStage : public ClockDomain::Ticker
     FetchStage(const CoreConfig &cfg, ClockDomain &domain,
                ClockDomain &memDomain, StreamGenerator &gen,
                CacheHierarchy &hier, EnergyAccount &energy,
-               Channel<DynInstPtr> &out, Channel<RedirectMsg> &redirectIn,
+               DynInstPool &pool, Channel<DynInstPtr> &out,
+               Channel<RedirectMsg> &redirectIn,
                Channel<BpredUpdateMsg> &bpredUpdateIn, bool galsMode,
                unsigned syncEdges);
 
@@ -108,6 +109,7 @@ class FetchStage : public ClockDomain::Ticker
     StreamGenerator &gen_;
     CacheHierarchy &hier_;
     EnergyAccount &energy_;
+    DynInstPool &pool_;
     BranchUnit bpred_;
 
     Channel<DynInstPtr> &out_;

@@ -16,19 +16,6 @@ IssueQueue::IssueQueue(std::string name, unsigned capacity,
 }
 
 void
-IssueQueue::refreshReady(Entry &e) const
-{
-    e.allReady = true;
-    for (unsigned i = 0; i < e.inst->numSrcs; ++i) {
-        if (!e.ready[i]) {
-            e.ready[i] =
-                view_.ready(e.inst->physSrcs[i], e.inst->srcEpochs[i]);
-        }
-        e.allReady = e.allReady && e.ready[i];
-    }
-}
-
-void
 IssueQueue::insert(const DynInstPtr &inst)
 {
     gals_assert(!full(), "insert into full issue queue '", name_, "'");
@@ -37,15 +24,19 @@ IssueQueue::insert(const DynInstPtr &inst)
     for (unsigned i = 0; i < DynInst::maxSrcs; ++i)
         e.ready[i] = i >= inst->numSrcs;
     refreshReady(e);
+    srcSum_ += inst->numSrcs;
     entries_.push_back(std::move(e));
 }
 
 void
 IssueQueue::wakeup(PhysRegId reg, std::uint32_t epoch)
 {
+    // The tag is compared against every source of every entry.
+    wakeupMatches_ += srcSum_;
     for (auto &e : entries_) {
+        if (e.allReady)
+            continue; // ready bits only ever turn on
         for (unsigned i = 0; i < e.inst->numSrcs; ++i) {
-            ++wakeupMatches_;
             if (!e.ready[i] && e.inst->physSrcs[i] == reg &&
                 e.inst->srcEpochs[i] <= epoch)
                 e.ready[i] = true;
@@ -53,35 +44,16 @@ IssueQueue::wakeup(PhysRegId reg, std::uint32_t epoch)
     }
 }
 
-std::vector<DynInstPtr>
-IssueQueue::selectIssue(
-    unsigned width,
-    const std::function<bool(const DynInst &)> &fuAvailable)
-{
-    std::vector<DynInstPtr> issued;
-    if (width == 0)
-        return issued;
-
-    for (auto it = entries_.begin();
-         it != entries_.end() && issued.size() < width;) {
-        refreshReady(*it);
-        if (it->allReady && fuAvailable(*it->inst)) {
-            issued.push_back(it->inst);
-            it = entries_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    return issued;
-}
-
 unsigned
 IssueQueue::squashAfter(InstSeqNum afterSeq)
 {
     const auto old_size = entries_.size();
     entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                  [afterSeq](const Entry &e) {
-                                      return e.inst->seq > afterSeq;
+                                  [this, afterSeq](const Entry &e) {
+                                      if (e.inst->seq <= afterSeq)
+                                          return false;
+                                      srcSum_ -= e.inst->numSrcs;
+                                      return true;
                                   }),
                    entries_.end());
     return static_cast<unsigned>(old_size - entries_.size());

@@ -8,7 +8,6 @@
 #ifndef CPU_ISSUE_QUEUE_HH
 #define CPU_ISSUE_QUEUE_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,17 +42,23 @@ class IssueQueue
 
     /**
      * Select up to @p width ready instructions, oldest first, subject
-     * to @p fuAvailable (checked and consumed per candidate). Selected
-     * entries are removed from the queue.
+     * to @p fuAvailable(const DynInst &) (checked and consumed per
+     * candidate), into @p issued, which is cleared first. Selected
+     * entries are removed from the queue; survivors keep their age
+     * order.
      */
-    std::vector<DynInstPtr>
-    selectIssue(unsigned width,
-                const std::function<bool(const DynInst &)> &fuAvailable);
+    template <typename FuAvailable>
+    void selectIssue(unsigned width, FuAvailable &&fuAvailable,
+                     std::vector<DynInstPtr> &issued);
 
     /** Remove all entries younger than @p afterSeq. @return count. */
     unsigned squashAfter(InstSeqNum afterSeq);
 
-    /** Number of wakeup-match operations (power accounting). */
+    /**
+     * Number of wakeup-match operations (power accounting): every
+     * wakeup compares its tag against every source operand of every
+     * queued entry.
+     */
     std::uint64_t wakeupMatches() const { return wakeupMatches_; }
 
     const std::string &name() const { return name_; }
@@ -63,17 +68,67 @@ class IssueQueue
     {
         DynInstPtr inst;
         bool ready[DynInst::maxSrcs];
-        bool allReady;
+        bool allReady = false;
     };
 
-    void refreshReady(Entry &e) const;
+    /** Latch operands the scoreboard now shows ready; recompute
+     *  allReady. Ready bits are monotonic, so a ready entry stays so. */
+    void
+    refreshReady(Entry &e) const
+    {
+        if (e.allReady)
+            return;
+        e.allReady = true;
+        for (unsigned i = 0; i < e.inst->numSrcs; ++i) {
+            if (!e.ready[i]) {
+                e.ready[i] = view_.ready(e.inst->physSrcs[i],
+                                         e.inst->srcEpochs[i]);
+            }
+            e.allReady = e.allReady && e.ready[i];
+        }
+    }
 
     std::string name_;
     unsigned capacity_;
     const Scoreboard &view_;
     std::vector<Entry> entries_; ///< kept in age order
+    std::uint64_t srcSum_ = 0;   ///< sum of numSrcs over entries_
     std::uint64_t wakeupMatches_ = 0;
 };
+
+template <typename FuAvailable>
+void
+IssueQueue::selectIssue(unsigned width, FuAvailable &&fuAvailable,
+                        std::vector<DynInstPtr> &issued)
+{
+    issued.clear();
+    if (width == 0)
+        return;
+
+    // One pass: entries that stay are compacted towards the front in
+    // age order; the scan stops once the width is filled and the
+    // unvisited tail slides down behind the survivors.
+    const std::size_t n = entries_.size();
+    std::size_t keep = 0;
+    std::size_t i = 0;
+    for (; i < n && issued.size() < width; ++i) {
+        Entry &e = entries_[i];
+        refreshReady(e);
+        if (e.allReady && fuAvailable(*e.inst)) {
+            srcSum_ -= e.inst->numSrcs;
+            issued.push_back(std::move(e.inst));
+        } else {
+            if (keep != i)
+                entries_[keep] = std::move(e);
+            ++keep;
+        }
+    }
+    if (keep != i) {
+        for (; i < n; ++i)
+            entries_[keep++] = std::move(entries_[i]);
+        entries_.erase(entries_.begin() + keep, entries_.end());
+    }
+}
 
 } // namespace gals
 

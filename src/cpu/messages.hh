@@ -37,10 +37,12 @@ struct RedirectMsg
     InstSeqNum branchSeq = 0;
 };
 
-/** A store committed: perform its D-cache write. */
+/** A store committed: perform its D-cache write. Carries only what
+ *  the memory domain reads, so no instruction handle outlives commit. */
 struct StoreCommitMsg
 {
-    DynInstPtr inst;
+    InstSeqNum seq = 0;
+    std::uint64_t memAddr = 0;
 };
 
 /** Commit-time branch predictor training. */

@@ -1,5 +1,7 @@
 #include "cpu/rob.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace gals
@@ -36,30 +38,25 @@ Rob::popHead()
 bool
 Rob::markCompleted(InstSeqNum seq)
 {
-    // Completions arrive out of order; search from the head since old
-    // instructions complete more often near the front.
-    for (auto &inst : q_) {
-        if (inst->seq == seq) {
-            inst->completed = true;
-            return true;
-        }
+    // Completions arrive out of order. Seqs strictly increase along
+    // the window, so @p seq sits at most (seq - head) slots in: probe
+    // that slot (the window is usually gap-free), else binary-search
+    // the slots before it.
+    if (q_.empty() || seq < q_.front()->seq)
+        return false;
+    const std::uint64_t last = std::min<std::uint64_t>(
+        seq - q_.front()->seq, q_.size() - 1);
+    auto it = q_.begin() + static_cast<std::ptrdiff_t>(last);
+    if ((*it)->seq != seq) {
+        it = std::lower_bound(q_.begin(), it, seq,
+                              [](const DynInstPtr &inst, InstSeqNum s) {
+                                  return inst->seq < s;
+                              });
+        if ((*it)->seq != seq)
+            return false;
     }
-    return false;
-}
-
-unsigned
-Rob::squashAfter(InstSeqNum afterSeq,
-                 const std::function<void(DynInst &)> &onSquash)
-{
-    unsigned n = 0;
-    while (!q_.empty() && q_.back()->seq > afterSeq) {
-        DynInstPtr inst = q_.back();
-        q_.pop_back();
-        inst->squashed = true;
-        onSquash(*inst);
-        ++n;
-    }
-    return n;
+    (*it)->completed = true;
+    return true;
 }
 
 } // namespace gals

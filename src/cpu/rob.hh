@@ -9,7 +9,6 @@
 #define CPU_ROB_HH
 
 #include <deque>
-#include <functional>
 
 #include "isa/dyn_inst.hh"
 
@@ -43,16 +42,32 @@ class Rob
 
     /**
      * Remove every instruction younger than @p afterSeq, youngest
-     * first, invoking @p onSquash for each (used to release rename
-     * registers). @return number squashed.
+     * first, marking it squashed and invoking @p onSquash(DynInst &)
+     * for each (used to release rename registers). @return number
+     * squashed.
      */
-    unsigned squashAfter(InstSeqNum afterSeq,
-                         const std::function<void(DynInst &)> &onSquash);
+    template <typename OnSquash>
+    unsigned squashAfter(InstSeqNum afterSeq, OnSquash &&onSquash);
 
   private:
     unsigned capacity_;
-    std::deque<DynInstPtr> q_;
+    std::deque<DynInstPtr> q_; ///< strictly increasing seq
 };
+
+template <typename OnSquash>
+unsigned
+Rob::squashAfter(InstSeqNum afterSeq, OnSquash &&onSquash)
+{
+    unsigned n = 0;
+    while (!q_.empty() && q_.back()->seq > afterSeq) {
+        DynInstPtr inst = std::move(q_.back());
+        q_.pop_back();
+        inst->squashed = true;
+        onSquash(*inst);
+        ++n;
+    }
+    return n;
+}
 
 } // namespace gals
 

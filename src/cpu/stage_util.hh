@@ -21,7 +21,7 @@ inline DynInstPtr
 popInst(Channel<DynInstPtr> &ch, Tick now)
 {
     const Tick push_tick = ch.frontPushTick();
-    DynInstPtr inst = ch.front();
+    DynInstPtr inst = std::move(ch.front());
     ch.pop();
     if (ch.isAsync()) {
         inst->fifoResidency += now - push_tick;

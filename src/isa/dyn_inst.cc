@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "sim/logging.hh"
+
 namespace gals
 {
 
@@ -27,6 +29,30 @@ DynInst::toString() const
     if (squashed)
         os << " SQ";
     return os.str();
+}
+
+DynInstPool::~DynInstPool()
+{
+    gals_assert(live_ == 0, live_,
+                " instruction(s) still referenced at pool destruction");
+    for (auto &chunk : chunks_)
+        for (std::size_t i = 0; i < chunkSlots; ++i)
+            unpoison(&chunk[i]);
+}
+
+void
+DynInstPool::grow()
+{
+    auto chunk = std::make_unique<DynInstSlot[]>(chunkSlots);
+    DynInstSlot *base = chunk.get();
+    chunks_.push_back(std::move(chunk));
+    free_.reserve(slots());
+    // Pushed highest address first, so make() hands out the lowest.
+    for (std::size_t i = chunkSlots; i-- > 0;) {
+        base[i].pool = this;
+        free_.push_back(&base[i]);
+        poison(&base[i]);
+    }
 }
 
 } // namespace gals

@@ -8,9 +8,17 @@
 #ifndef ISA_DYN_INST_HH
 #define ISA_DYN_INST_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
+#include <utility>
+#include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "isa/inst.hh"
 #include "sim/ticks.hh"
@@ -24,8 +32,10 @@ using InstSeqNum = std::uint64_t;
 /**
  * A dynamic instruction in flight.
  *
- * Owned via shared_ptr: the ROB, issue queues and channels all hold
- * references while the instruction traverses the machine.
+ * A plain value type. In-flight instances live in a DynInstPool and
+ * are held through DynInstPtr handles: the ROB, issue queues, LSQ,
+ * channels and completion heaps all hold references while the
+ * instruction traverses the machine.
  */
 class DynInst
 {
@@ -103,7 +113,170 @@ class DynInst
     std::string toString() const;
 };
 
-using DynInstPtr = std::shared_ptr<DynInst>;
+class DynInstPool;
+
+/** One pool slot: the instruction plus its intrusive reference count. */
+struct DynInstSlot
+{
+    DynInst inst;
+    std::uint32_t refs = 0;
+    DynInstPool *pool = nullptr;
+};
+
+/**
+ * Counted handle to a pooled DynInst. Counting is intrusive and
+ * non-atomic: a Processor and everything that holds its instructions
+ * run on one thread. The slot returns to its pool when the last handle
+ * drops. Only DynInstPool::make() creates non-null handles.
+ */
+class DynInstPtr
+{
+  public:
+    DynInstPtr() = default;
+
+    DynInstPtr(const DynInstPtr &o) : s_(o.s_)
+    {
+        if (s_ != nullptr)
+            ++s_->refs;
+    }
+
+    DynInstPtr(DynInstPtr &&o) noexcept : s_(std::exchange(o.s_, nullptr))
+    {
+    }
+
+    DynInstPtr &
+    operator=(const DynInstPtr &o)
+    {
+        DynInstPtr(o).swap(*this);
+        return *this;
+    }
+
+    DynInstPtr &
+    operator=(DynInstPtr &&o) noexcept
+    {
+        DynInstPtr(std::move(o)).swap(*this);
+        return *this;
+    }
+
+    ~DynInstPtr() { release(); }
+
+    void swap(DynInstPtr &o) noexcept { std::swap(s_, o.s_); }
+
+    /** Drop this reference; the handle becomes null. */
+    void
+    reset()
+    {
+        release();
+        s_ = nullptr;
+    }
+
+    DynInst *get() const { return s_ != nullptr ? &s_->inst : nullptr; }
+    DynInst *operator->() const { return &s_->inst; }
+    DynInst &operator*() const { return s_->inst; }
+    explicit operator bool() const { return s_ != nullptr; }
+
+    bool operator==(std::nullptr_t) const { return s_ == nullptr; }
+
+  private:
+    friend class DynInstPool;
+
+    explicit DynInstPtr(DynInstSlot *s) : s_(s) { ++s_->refs; }
+
+    inline void release();
+
+    DynInstSlot *s_ = nullptr;
+};
+
+/**
+ * Free-list pool of in-flight instructions, one per Processor.
+ *
+ * Storage grows on demand in fixed-size chunks and is never returned
+ * until the pool dies, so once the pool has reached the machine's peak
+ * in-flight count, make() and the last handle's release perform no
+ * allocation. Nothing
+ * is preallocated at construction. Every handle must be dropped
+ * before the pool is destroyed; a Processor guarantees that by
+ * declaring its pool ahead of every channel and stage.
+ *
+ * Under AddressSanitizer free slots are poisoned, so a dangling handle
+ * faults instead of reading a recycled instruction.
+ */
+class DynInstPool
+{
+  public:
+    DynInstPool() = default;
+    ~DynInstPool();
+
+    DynInstPool(const DynInstPool &) = delete;
+    DynInstPool &operator=(const DynInstPool &) = delete;
+
+    /** A default-initialised instruction with one reference. */
+    DynInstPtr
+    make()
+    {
+        if (free_.empty())
+            grow();
+        DynInstSlot *s = free_.back();
+        free_.pop_back();
+        unpoison(s);
+        new (&s->inst) DynInst();
+        ++live_;
+        return DynInstPtr(s);
+    }
+
+    /** Instructions currently referenced by at least one handle. */
+    std::size_t live() const { return live_; }
+
+    /** Slots allocated so far (live + free). */
+    std::size_t slots() const { return chunks_.size() * chunkSlots; }
+
+  private:
+    friend class DynInstPtr;
+
+    static constexpr std::size_t chunkSlots = 64;
+
+    void
+    recycle(DynInstSlot *s)
+    {
+        --live_;
+        // free_ was reserved to slots() in grow(): no allocation here.
+        free_.push_back(s);
+        poison(s);
+    }
+
+    void grow();
+
+    static void
+    poison(DynInstSlot *s)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_POISON_MEMORY_REGION(s, sizeof(DynInstSlot));
+#else
+        (void)s;
+#endif
+    }
+
+    static void
+    unpoison(DynInstSlot *s)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+        ASAN_UNPOISON_MEMORY_REGION(s, sizeof(DynInstSlot));
+#else
+        (void)s;
+#endif
+    }
+
+    std::vector<std::unique_ptr<DynInstSlot[]>> chunks_;
+    std::vector<DynInstSlot *> free_;
+    std::size_t live_ = 0;
+};
+
+inline void
+DynInstPtr::release()
+{
+    if (s_ != nullptr && --s_->refs == 0)
+        s_->pool->recycle(s_);
+}
 
 } // namespace gals
 

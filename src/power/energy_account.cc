@@ -24,7 +24,18 @@ clockUnitOf(DomainId d)
     }
 }
 
-EnergyAccount::EnergyAccount(const PowerModel &model) : model_(model) {}
+EnergyAccount::EnergyAccount(const PowerModel &model) : model_(model)
+{
+    for (unsigned i = 0; i < numUnits; ++i) {
+        const Unit u = static_cast<Unit>(i);
+        if (isClockUnit(u) || u == Unit::fifo || u == Unit::resultBus)
+            continue; // charged per event, not per cycle
+        DomainUnits &du = domainUnits_[domainIndex(unitDomain(u))];
+        du.units[du.count++] = static_cast<std::uint8_t>(i);
+    }
+    for (unsigned d = 0; d < numDomains; ++d)
+        domainUnits_[d].clock = clockUnitOf(static_cast<DomainId>(d));
+}
 
 void
 EnergyAccount::chargeImmediate(Unit u, std::uint64_t n, double vdd)
@@ -47,13 +58,11 @@ EnergyAccount::domainCycle(DomainId d, double vdd)
     const double scale = model_.tech().energyScale(vdd);
     const double idle = model_.tech().idleFraction;
 
-    for (unsigned i = 0; i < numUnits; ++i) {
-        const Unit u = static_cast<Unit>(i);
-        if (isClockUnit(u) || u == Unit::fifo || u == Unit::resultBus)
-            continue; // charged per event, not per cycle
-        if (unitDomain(u) != d)
-            continue;
-        const double ea = model_.accessEnergyNj(u);
+    gals_assert(domainIndex(d) < numDomains, "bad domain id");
+    const DomainUnits &du = domainUnits_[domainIndex(d)];
+    for (unsigned k = 0; k < du.count; ++k) {
+        const unsigned i = du.units[k];
+        const double ea = model_.accessEnergyNj(static_cast<Unit>(i));
         if (cycleAccesses_[i] > 0) {
             energyNj_[i] += cycleAccesses_[i] * ea * scale;
             cycleAccesses_[i] = 0;
@@ -62,7 +71,7 @@ EnergyAccount::domainCycle(DomainId d, double vdd)
         }
     }
 
-    const Unit clk = clockUnitOf(d);
+    const Unit clk = du.clock;
     energyNj_[static_cast<unsigned>(clk)] +=
         model_.accessEnergyNj(clk) * scale;
 }

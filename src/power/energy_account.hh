@@ -76,9 +76,20 @@ class EnergyAccount
     void reset();
 
   private:
+    /** What domainCycle() charges for one domain, fixed at
+     *  construction: the per-cycle-gated units in Unit order and the
+     *  domain's clock grid. */
+    struct DomainUnits
+    {
+        std::array<std::uint8_t, numUnits> units{};
+        unsigned count = 0;
+        Unit clock = Unit::globalClock;
+    };
+
     const PowerModel &model_;
     std::array<std::uint64_t, numUnits> cycleAccesses_{};
     std::array<double, numUnits> energyNj_{};
+    PerDomain<DomainUnits> domainUnits_{};
 };
 
 /** The clock-grid unit of a domain. */

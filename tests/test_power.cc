@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <random>
+
 #include "cpu/core_config.hh"
 #include "power/array_model.hh"
 #include "power/bus_model.hh"
@@ -241,4 +245,83 @@ TEST(EnergyAccount, ImmediateChargesBypassGating)
     ea.chargeImmediate(Unit::fifo, 10, tech.vddNominal);
     EXPECT_NEAR(ea.unitEnergyNj(Unit::fifo),
                 10 * pm.accessEnergyNj(Unit::fifo), 1e-9);
+}
+
+namespace
+{
+
+/** domainCycle() as a scan over every unit, filtering on unitDomain()
+ *  at each edge: the reference the precomputed lists must match bit
+ *  for bit. */
+struct FullScanAccount
+{
+    const PowerModel &model;
+    std::array<std::uint64_t, numUnits> accesses{};
+    std::array<double, numUnits> energyNj{};
+
+    void
+    domainCycle(DomainId d, double vdd)
+    {
+        const double scale = model.tech().energyScale(vdd);
+        const double idle = model.tech().idleFraction;
+        for (unsigned i = 0; i < numUnits; ++i) {
+            const Unit u = static_cast<Unit>(i);
+            if (isClockUnit(u) || u == Unit::fifo || u == Unit::resultBus)
+                continue;
+            if (unitDomain(u) != d)
+                continue;
+            const double ea = model.accessEnergyNj(u);
+            if (accesses[i] > 0) {
+                energyNj[i] += accesses[i] * ea * scale;
+                accesses[i] = 0;
+            } else {
+                energyNj[i] += idle * ea * scale;
+            }
+        }
+        const Unit clk = clockUnitOf(d);
+        energyNj[static_cast<unsigned>(clk)] +=
+            model.accessEnergyNj(clk) * scale;
+    }
+};
+
+} // namespace
+
+TEST(EnergyAccount, DomainCycleBitEqualToFullScan)
+{
+    const PowerModel pm = makeModel();
+    EnergyAccount ea(pm);
+    FullScanAccount ref{pm};
+    const double vdds[] = {tech.vddNominal, 0.8, 1.05, 1.2,
+                           0.5 * tech.vddNominal};
+    std::mt19937 rng(2002);
+
+    for (unsigned step = 0; step < 20000; ++step) {
+        // A few random access counts (often none, so most units take
+        // the idle-fraction path), then one edge of a random domain.
+        for (unsigned k = rng() % 4; k > 0; --k) {
+            const auto u = static_cast<Unit>(rng() % numUnits);
+            const unsigned n = rng() % 6;
+            ea.chargeAccess(u, n);
+            ref.accesses[static_cast<unsigned>(u)] += n;
+        }
+        const auto d = static_cast<DomainId>(rng() % numDomains);
+        const double vdd = vdds[rng() % std::size(vdds)];
+        ea.domainCycle(d, vdd);
+        ref.domainCycle(d, vdd);
+
+        for (unsigned i = 0; i < numUnits; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                          ea.unitEnergyNj(static_cast<Unit>(i))),
+                      std::bit_cast<std::uint64_t>(ref.energyNj[i]))
+                << unitName(static_cast<Unit>(i)) << " at step " << step;
+        }
+    }
+    // Every domain's gated units and clock grid were charged.
+    for (unsigned i = 0; i < numUnits; ++i) {
+        const Unit u = static_cast<Unit>(i);
+        if (u != Unit::globalClock && u != Unit::fifo &&
+            u != Unit::resultBus) {
+            EXPECT_GT(ref.energyNj[i], 0.0) << unitName(u);
+        }
+    }
 }

@@ -235,3 +235,35 @@ TEST(Processor, FixedPhaseReproducible)
         EXPECT_EQ(p.domain(static_cast<DomainId>(i)).phase(), 0u);
 }
 
+
+TEST(Processor, InstPoolEmptyAtQuiescenceAndGrowsOnDemand)
+{
+    EventQueue eq;
+    ProcessorConfig cfg;
+    cfg.gals = true;
+    Processor p(eq, cfg, findBenchmark("gcc"), 0);
+    EXPECT_EQ(p.instPool().slots(), 0u); // nothing preallocated
+    p.runWarmup(3000);
+    ASSERT_TRUE(p.quiescentForSnapshot());
+    EXPECT_EQ(p.instPool().live(), 0u);
+    EXPECT_GT(p.instPool().slots(), 0u);
+}
+
+TEST(Processor, InstructionsInFlightAtTheEndAreReleased)
+{
+    // Stop a run mid-stream, with the front end still fetching:
+    // destroying the processor must release every in-flight
+    // instruction before its pool goes (the pool asserts that no
+    // handle outlives it).
+    EventQueue eq;
+    ProcessorConfig cfg;
+    auto p = std::make_unique<Processor>(eq, cfg, findBenchmark("gcc"), 0);
+    p->prepareRun(10000);
+    Rng phase_rng(1);
+    p->startClocks(phase_rng);
+    while (p->committed() < 3000)
+        eq.serviceOne();
+    p->finishRun();
+    EXPECT_GT(p->instPool().live(), 0u);
+    p.reset();
+}
