@@ -26,7 +26,9 @@ set(GOLDEN_RUNS
   "fabric_smoke|--scenario fabric_smoke --insts 2000"
   "fabric_topo|--scenario fabric_topo --insts 2000"
   "fig05_interval|--scenario fig05 --insts 2000 --interval-ticks 1000000"
-  "dvfs-explorer_warm|--scenario dvfs-explorer --insts 12000 --warmup-insts 10000 --seeds 2")
+  "dvfs-explorer_warm|--scenario dvfs-explorer --insts 12000 --warmup-insts 10000 --seeds 2"
+  "fabric_axes|--scenario fabric_topo --insts 2000 --cores 4 --topology mesh2d --traffic uniform,hotspot:2 --bench gcc --seed-list 3,5"
+  "fig05_shard|--scenario fig05 --insts 2000 --seeds 2 --shard 2/3")
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")

@@ -927,6 +927,84 @@ TEST_F(Cli, DispatchRejectsWarmupOnFabricRuns)
     EXPECT_FALSE(fs::exists(out + ".dispatch"));
 }
 
+/** Run `galsbench dispatch @p axes` against a stand-in worker that
+ *  records its argv and fails, so the dispatch stops after one launch.
+ *  @return the journal's plan line and slice 1's worker argv (one
+ *  entry per line), with the scratch directory spelled `$DIR`. */
+std::pair<std::string, std::string>
+dispatchPlanAndArgv(const std::string &name, const std::string &axes)
+{
+    const std::string dir = tempPath("pin_" + name);
+    fs::remove_all(dir);
+    fs::create_directories(dir + "/snap");
+    const std::string worker = dir + "/worker.sh";
+    spit(worker, "#!/bin/sh\n"
+                 "for a in \"$@\"; do printf '%s\\n' \"$a\"; done"
+                 " > \"$(dirname \"$0\")/argv.txt\"\n"
+                 "exit 3\n");
+    ::chmod(worker.c_str(), 0755);
+    std::string err;
+    std::string args = "dispatch " + axes + " --output " + dir +
+                       "/out.jsonl --slices 1 --workers 1 --retries 0 "
+                       "--worker-binary " + worker;
+    for (std::size_t p = args.find("$DIR"); p != std::string::npos;
+         p = args.find("$DIR", p))
+        args.replace(p, 4, dir);
+    EXPECT_EQ(runGalsbench(args, err), 1) << err;
+    std::string plan = slurp(dir + "/out.jsonl.dispatch/journal.jsonl");
+    plan = plan.substr(0, plan.find('\n'));
+    std::string argv = slurp(dir + "/argv.txt");
+    for (std::string *s : {&plan, &argv})
+        for (std::size_t p = s->find(dir); p != std::string::npos;
+             p = s->find(dir, p))
+            s->replace(p, dir.size(), "$DIR");
+    return {plan, argv};
+}
+
+TEST_F(Cli, DispatchPlanLineAndWorkerArgvArePinned)
+{
+    // Resuming a dispatch compares plan lines byte for byte, and the
+    // workers re-parse the argv: neither may move under a refactor.
+    const auto [fabricPlan, fabricArgv] = dispatchPlanAndArgv(
+        "fabric", "--scenario fabric_topo --insts 2000 --bench gcc "
+                  "--seed-list 3,5 --cores 4 --topology mesh2d "
+                  "--traffic uniform,hotspot:2");
+    EXPECT_EQ(fabricPlan,
+              R"({"event":"plan","galssim_version":"0.5.0",)"
+              R"("engine":"calendar","slices":1,)"
+              R"("output":"$DIR/out.jsonl","instructions":2000,)"
+              R"("seeds":[3,5],"benchmarks":["gcc"],)"
+              R"("fabric":{"cores":[4],"topologies":["mesh2d"],)"
+              R"("traffics":["uniform","hotspot:2"]},)"
+              R"("scenarios":[{"name":"fabric_topo","runs":4}]})");
+    EXPECT_EQ(fabricArgv,
+              "--scenario\nfabric_topo\n--shard\n1/1\n--jobs\n1\n"
+              "--insts\n2000\n--seed-list\n3,5\n--bench\ngcc\n"
+              "--cores\n4\n--topology\nmesh2d\n"
+              "--traffic\nuniform,hotspot:2\n"
+              "--output\n$DIR/out.jsonl.dispatch/slice_1.jsonl\n"
+              "--manifest\n$DIR/out.jsonl.dispatch/slice_1.manifest.json\n");
+
+    const auto [warmPlan, warmArgv] = dispatchPlanAndArgv(
+        "warm", "--scenario fig05 --insts 3000 --bench adpcm --seeds 2 "
+                "--warmup-insts 1000 --interval-ticks 5000 "
+                "--snapshot-dir $DIR/snap");
+    EXPECT_EQ(warmPlan,
+              R"({"event":"plan","galssim_version":"0.5.0",)"
+              R"("engine":"calendar","slices":1,)"
+              R"("output":"$DIR/out.jsonl","instructions":3000,)"
+              R"("seeds":[0,1],"benchmarks":["adpcm"],)"
+              R"("interval_ticks":5000,"warmup_insts":1000,)"
+              R"("scenarios":[{"name":"fig05","runs":4}]})");
+    EXPECT_EQ(warmArgv,
+              "--scenario\nfig05\n--shard\n1/1\n--jobs\n1\n"
+              "--insts\n3000\n--seed-list\n0,1\n--bench\nadpcm\n"
+              "--interval-ticks\n5000\n--warmup-insts\n1000\n"
+              "--snapshot-dir\n$DIR/snap\n"
+              "--output\n$DIR/out.jsonl.dispatch/slice_1.jsonl\n"
+              "--manifest\n$DIR/out.jsonl.dispatch/slice_1.manifest.json\n");
+}
+
 TEST_F(Cli, RetiredEngineFlagIsUnknown)
 {
     std::string err;
