@@ -29,40 +29,25 @@
  * `--verify MANIFEST` re-runs an archived manifest and byte-compares
  * the regenerated trajectory against the archived one.
  *
- * Usage:
- *   galsbench --list [--format md]
- *   galsbench --scenario fig05 [--scenario fig09 ...] | --all
- *             [--jobs N] [--format table|json|csv]
- *             [--insts N] [--bench NAME] [--seed N]
- *             [--seeds N | --seed-list a,b,c]
- *             [--shard I/N]
- *             [--output PATH] [--manifest PATH]
- *   galsbench --merge SHARD.jsonl... --output PATH
- *             [--merge-manifest SHARD.json... --manifest PATH]
- *   galsbench --verify MANIFEST [--jobs N]
- *   galsbench dispatch --scenario NAME... --output PATH [...]
+ * Usage: see usage(). Both parsers (main() and dispatchMain()) take
+ * the sweep-axis flags from runner/sweep_axes.hh and hand-parse only
+ * their own per-invocation flags.
  *
  * `dispatch` is the crash-safe orchestration of a whole sweep: it
  * shards the grid, drives `galsbench --shard` worker subprocesses
  * with retry/backoff and straggler kills, streams records with
  * per-record flushing, and resumes an interrupted dispatch from the
  * surviving records (docs/ORCHESTRATION.md).
- *
- * Environment: GALSSIM_INSTS and GALSSIM_BENCH provide defaults for
- * --insts / --bench (the knobs the old drivers honoured).
  */
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -73,7 +58,6 @@
 
 #include "bench/register_all.hh"
 #include "core/snapshot.hh"
-#include "fabric/fabric_config.hh"
 #include "runner/engine.hh"
 #include "runner/fault.hh"
 #include "runner/gtrj.hh"
@@ -82,6 +66,7 @@
 #include "runner/reporter.hh"
 #include "runner/scenario.hh"
 #include "runner/stats.hh"
+#include "runner/sweep_axes.hh"
 #include "runner/trajectory.hh"
 
 using namespace gals;
@@ -90,7 +75,7 @@ using namespace gals::runner;
 namespace
 {
 
-void
+[[noreturn]] void
 usage(std::FILE *to, int exitCode)
 {
     std::fprintf(
@@ -115,11 +100,7 @@ usage(std::FILE *to, int exitCode)
         "                 --output PATH [--manifest PATH]\n"
         "                 [--slices M] [--workers W] [--worker-jobs "
         "N]\n"
-        "                 [--insts N] [--bench NAME] [--seed N]\n"
-        "                 [--seeds N | --seed-list a,b,c]\n"
-        "                 [--cores A,B,...] [--topology T,...]\n"
-        "                 [--traffic P,...] [--interval-ticks K]\n"
-        "                 [--warmup-insts K] [--snapshot-dir PATH]\n"
+        "                 [--insts N ... --snapshot-dir PATH, as above]\n"
         "                 [--retries N] [--backoff-ms N]\n"
         "                 [--backoff-cap-ms N] [--straggler-factor "
         "X]\n"
@@ -207,212 +188,41 @@ usage(std::FILE *to, int exitCode)
     std::exit(exitCode);
 }
 
+/** Unless @p err is empty: print "galsbench: @p err", then usage,
+ *  and exit 2 — the one way every invalid value fails. */
+void
+usageError(const std::string &err)
+{
+    if (err.empty())
+        return;
+    std::fprintf(stderr, "galsbench: %s\n", err.c_str());
+    usage(stderr, 2);
+}
+
 const char *
 argValue(int argc, char **argv, int &i)
 {
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "galsbench: %s needs a value\n", argv[i]);
-        usage(stderr, 2);
-    }
+    if (i + 1 >= argc)
+        usageError(std::string(argv[i]) + " needs a value");
     return argv[++i];
 }
 
 std::uint64_t
 numericValue(const char *flag, const char *text)
 {
-    // strtoull silently wraps negatives ("-1" -> 2^64-1) and
-    // saturates out-of-range values with only errno to show for it,
-    // so reject a leading minus sign explicitly — skipping the same
-    // whitespace set strtoull itself skips — and check ERANGE.
-    const char *p = text;
-    while (std::isspace(static_cast<unsigned char>(*p)))
-        ++p;
-    char *end = nullptr;
-    errno = 0;
-    const std::uint64_t v = std::strtoull(text, &end, 10);
-    if (*p == '-' || end == text || *end != '\0' ||
-        errno == ERANGE) {
-        std::fprintf(stderr,
-                     "galsbench: %s expects a non-negative number, "
-                     "got '%s'\n",
-                     flag, text);
-        usage(stderr, 2);
-    }
+    std::uint64_t v = 0;
+    usageError(parseU64(flag, text, v));
     return v;
 }
 
 /** numericValue() additionally bounded to `unsigned` range, so
- *  --jobs / --seeds cannot silently truncate through a cast. */
+ *  --jobs / --slices cannot silently truncate through a cast. */
 unsigned
 unsignedValue(const char *flag, const char *text)
 {
-    const std::uint64_t v = numericValue(flag, text);
-    if (v > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr, "galsbench: %s value %s is out of "
-                             "range\n",
-                     flag, text);
-        usage(stderr, 2);
-    }
-    return static_cast<unsigned>(v);
-}
-
-/** Parse the --seed-list value: comma-separated non-negative
- *  integers, at least one. */
-std::vector<std::uint64_t>
-seedListValue(const char *text)
-{
-    std::vector<std::uint64_t> seeds;
-    const std::string s = text;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        const std::string item = s.substr(pos, comma - pos);
-        if (item.empty()) {
-            std::fprintf(stderr,
-                         "galsbench: --seed-list expects "
-                         "comma-separated numbers, got '%s'\n",
-                         text);
-            usage(stderr, 2);
-        }
-        seeds.push_back(numericValue("--seed-list", item.c_str()));
-        pos = comma + 1;
-    }
-    return seeds;
-}
-
-/** Split a comma-separated flag value; every item must be
- *  non-empty. */
-std::vector<std::string>
-commaListValue(const char *flag, const char *text)
-{
-    std::vector<std::string> items;
-    const std::string s = text;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        const std::string item = s.substr(pos, comma - pos);
-        if (item.empty()) {
-            std::fprintf(stderr,
-                         "galsbench: %s expects comma-separated "
-                         "values, got '%s'\n",
-                         flag, text);
-            usage(stderr, 2);
-        }
-        items.push_back(item);
-        pos = comma + 1;
-    }
-    return items;
-}
-
-/** Parse the --cores value: comma-separated core counts >= 1. */
-std::vector<unsigned>
-coreListValue(const char *text)
-{
-    std::vector<unsigned> cores;
-    for (const std::string &item : commaListValue("--cores", text)) {
-        const unsigned n = unsignedValue("--cores", item.c_str());
-        if (n == 0) {
-            std::fprintf(stderr,
-                         "galsbench: --cores values must be >= 1, "
-                         "got '%s'\n",
-                         text);
-            usage(stderr, 2);
-        }
-        cores.push_back(n);
-    }
-    return cores;
-}
-
-/** Parse the --topology value: comma-separated topology names. */
-std::vector<std::string>
-topologyListValue(const char *text)
-{
-    std::vector<std::string> topos = commaListValue("--topology", text);
-    for (const std::string &t : topos) {
-        TopologyKind kind;
-        if (!parseTopologyKind(t, kind)) {
-            std::fprintf(stderr,
-                         "galsbench: --topology expects 'ring' or "
-                         "'mesh2d', got '%s'\n",
-                         t.c_str());
-            usage(stderr, 2);
-        }
-    }
-    return topos;
-}
-
-/** Parse the --traffic value: comma-separated traffic-matrix specs
- *  (syntax check only — core-count cross-checks happen in
- *  checkFabricAxes() once --cores is known). */
-std::vector<std::string>
-trafficListValue(const char *text)
-{
-    std::vector<std::string> specs = commaListValue("--traffic", text);
-    for (const std::string &spec : specs) {
-        const std::string err = checkTrafficSpec(spec);
-        if (!err.empty()) {
-            std::fprintf(stderr, "galsbench: --traffic: %s\n",
-                         err.c_str());
-            usage(stderr, 2);
-        }
-    }
-    return specs;
-}
-
-/** Cross-validate explicit --traffic specs against explicit --cores
- *  counts: a spec referencing core K needs K < N for every fabric
- *  (multi-core) point it will be crossed with. */
-void
-checkFabricAxes(const SweepOptions &opts)
-{
-    for (const std::string &spec : opts.traffics)
-        for (unsigned n : opts.coreCounts) {
-            if (n < 2)
-                continue; // single-core points carry no fabric
-            std::vector<TrafficFlow> flows;
-            const std::string err =
-                parseTrafficPattern(spec, n, flows);
-            if (!err.empty()) {
-                std::fprintf(stderr,
-                             "galsbench: --traffic '%s' with --cores "
-                             "%u: %s\n",
-                             spec.c_str(), n, err.c_str());
-                usage(stderr, 2);
-            }
-        }
-}
-
-/** Reject --warmup-insts (exit 2 with usage) when any selected
- *  scenario's grid holds a fabric run: warm snapshots are single-core
- *  only, so expandReplicatedRuns() leaves fabric runs cold, and the
- *  manifest would record a warmup split those records never took.
- *  Unknown names are left to the caller's own check. */
-void
-checkWarmupGrid(const ScenarioRegistry &registry,
-                const std::vector<std::string> &names,
-                const SweepOptions &opts)
-{
-    if (opts.warmupInstructions == 0)
-        return;
-    for (const std::string &name : names) {
-        const Scenario *scenario = registry.find(name);
-        if (!scenario)
-            continue;
-        for (const RunConfig &cfg :
-             expandReplicatedRuns(*scenario, opts, nullptr))
-            if (cfg.fabric.active()) {
-                std::fprintf(stderr,
-                             "galsbench: --warmup-insts does not "
-                             "apply to fabric runs (scenario '%s' "
-                             "has one)\n",
-                             name.c_str());
-                usage(stderr, 2);
-            }
-    }
+    unsigned v = 0;
+    usageError(parseUnsigned(flag, text, v));
+    return v;
 }
 
 /** Flush std::cout and turn a write failure into exit 1: reports
@@ -436,26 +246,16 @@ shardValue(const char *text)
     const std::string s = text;
     const std::size_t slash = s.find('/');
     if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= s.size()) {
-        std::fprintf(stderr,
-                     "galsbench: --shard expects I/N (e.g. 2/3), "
-                     "got '%s'\n",
-                     text);
-        usage(stderr, 2);
-    }
+        slash + 1 >= s.size())
+        usageError("--shard expects I/N (e.g. 2/3), got '" + s + "'");
     ShardSpec shard;
     shard.index =
         unsignedValue("--shard", s.substr(0, slash).c_str());
     shard.count =
         unsignedValue("--shard", s.substr(slash + 1).c_str());
     if (shard.index < 1 || shard.count < 1 ||
-        shard.index > shard.count) {
-        std::fprintf(stderr,
-                     "galsbench: --shard %s out of range "
-                     "(need 1 <= I <= N)\n",
-                     text);
-        usage(stderr, 2);
-    }
+        shard.index > shard.count)
+        usageError("--shard " + s + " out of range (need 1 <= I <= N)");
     return shard;
 }
 
@@ -469,11 +269,8 @@ fileListValue(const char *flag, int argc, char **argv, int &i,
     const std::size_t before = files.size();
     while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
         files.push_back(argv[++i]);
-    if (files.size() == before) {
-        std::fprintf(stderr,
-                     "galsbench: %s needs at least one file\n", flag);
-        usage(stderr, 2);
-    }
+    if (files.size() == before)
+        usageError(std::string(flag) + " needs at least one file");
 }
 
 /** Strict --output extension check: an unknown extension is a usage
@@ -483,13 +280,9 @@ void
 checkOutputPath(const std::string &path)
 {
     TrajectoryFormat format;
-    if (!trajectoryFormatForCliPath(path, format)) {
-        std::fprintf(stderr,
-                     "galsbench: --output expects a .jsonl, .json, "
-                     ".csv or .gtrj path, got '%s'\n",
-                     path.c_str());
-        usage(stderr, 2);
-    }
+    if (!trajectoryFormatForCliPath(path, format))
+        usageError("--output expects a .jsonl, .json, .csv or .gtrj "
+                   "path, got '" + path + "'");
 }
 
 /** Parse a positive decimal double (for --straggler-factor). */
@@ -499,13 +292,9 @@ doubleValue(const char *flag, const char *text)
     errno = 0;
     char *end = nullptr;
     const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE || v <= 0.0) {
-        std::fprintf(stderr,
-                     "galsbench: %s expects a positive number, got "
-                     "'%s'\n",
-                     flag, text);
-        usage(stderr, 2);
-    }
+    if (end == text || *end != '\0' || errno == ERANGE || v <= 0.0)
+        usageError(std::string(flag) + " expects a positive number, "
+                   "got '" + text + "'");
     return v;
 }
 
@@ -532,13 +321,16 @@ int
 dispatchMain(int argc, char **argv, const ScenarioRegistry &registry)
 {
     DispatchOptions opts;
-    opts.sweep = SweepOptions::fromEnvironment();
     opts.workerBinary = selfExePath();
+    SweepAxisParser axes;
     bool runAll = false;
-    std::vector<std::string> cliBenchmarks;
 
     for (int i = 2; i < argc; ++i) {
         const char *arg = argv[i];
+        if (const auto err = axes.take(argc, argv, i)) {
+            usageError(*err);
+            continue;
+        }
         if (!std::strcmp(arg, "--scenario")) {
             opts.scenarios.push_back(argValue(argc, argv, i));
         } else if (!std::strcmp(arg, "--all")) {
@@ -556,68 +348,6 @@ dispatchMain(int argc, char **argv, const ScenarioRegistry &registry)
         } else if (!std::strcmp(arg, "--worker-jobs")) {
             opts.workerJobs = unsignedValue("--worker-jobs",
                                             argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--insts")) {
-            opts.sweep.instructions =
-                numericValue("--insts", argValue(argc, argv, i));
-            if (opts.sweep.instructions == 0) {
-                std::fprintf(stderr,
-                             "galsbench: --insts must be > 0\n");
-                return 2;
-            }
-        } else if (!std::strcmp(arg, "--bench")) {
-            cliBenchmarks.push_back(argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--seed")) {
-            opts.sweep.seed =
-                numericValue("--seed", argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--seeds")) {
-            opts.sweep.seedReplicas =
-                unsignedValue("--seeds", argValue(argc, argv, i));
-            if (opts.sweep.seedReplicas == 0) {
-                std::fprintf(stderr,
-                             "galsbench: --seeds must be > 0\n");
-                return 2;
-            }
-        } else if (!std::strcmp(arg, "--seed-list")) {
-            opts.sweep.explicitSeeds =
-                seedListValue(argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--cores")) {
-            opts.sweep.coreCounts =
-                coreListValue(argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--topology")) {
-            opts.sweep.topologies =
-                topologyListValue(argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--traffic")) {
-            opts.sweep.traffics =
-                trafficListValue(argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--interval-ticks")) {
-            opts.sweep.intervalTicks = numericValue(
-                "--interval-ticks", argValue(argc, argv, i));
-            if (opts.sweep.intervalTicks == 0) {
-                std::fprintf(stderr,
-                             "galsbench: --interval-ticks must be "
-                             "> 0\n");
-                return 2;
-            }
-        } else if (!std::strcmp(arg, "--warmup-insts")) {
-            opts.sweep.warmupInstructions = numericValue(
-                "--warmup-insts", argValue(argc, argv, i));
-            if (opts.sweep.warmupInstructions == 0) {
-                std::fprintf(stderr,
-                             "galsbench: --warmup-insts must be "
-                             "> 0\n");
-                return 2;
-            }
-        } else if (!std::strcmp(arg, "--snapshot-dir")) {
-            opts.snapshotDir = argValue(argc, argv, i);
-            std::error_code ec;
-            if (!std::filesystem::is_directory(opts.snapshotDir,
-                                               ec)) {
-                std::fprintf(stderr,
-                             "galsbench: --snapshot-dir '%s' is "
-                             "not an existing directory\n",
-                             opts.snapshotDir.c_str());
-                return 2;
-            }
         } else if (!std::strcmp(arg, "--retries")) {
             // N retries = N+1 attempts per slice.
             opts.policy.maxAttempts =
@@ -654,14 +384,10 @@ dispatchMain(int argc, char **argv, const ScenarioRegistry &registry)
             FaultPlan plan;
             std::string ferr;
             if (colon == std::string::npos ||
-                !parseFaultSpec(v.substr(colon + 1), plan, ferr)) {
-                std::fprintf(stderr,
-                             "galsbench: --fault-first-attempt "
-                             "expects SLICE:exit-after=K or "
-                             "SLICE:hang-after=K, got '%s'\n",
-                             v.c_str());
-                return 2;
-            }
+                !parseFaultSpec(v.substr(colon + 1), plan, ferr))
+                usageError("--fault-first-attempt expects "
+                           "SLICE:exit-after=K or SLICE:hang-after=K, "
+                           "got '" + v + "'");
             const unsigned slice = unsignedValue(
                 "--fault-first-attempt",
                 v.substr(0, colon).c_str());
@@ -687,43 +413,19 @@ dispatchMain(int argc, char **argv, const ScenarioRegistry &registry)
         }
     }
 
-    if (!cliBenchmarks.empty())
-        opts.sweep.benchmarks = std::move(cliBenchmarks);
-    checkFabricAxes(opts.sweep);
-    if (opts.sweep.warmupInstructions > 0 &&
-        opts.sweep.warmupInstructions >= opts.sweep.instructions) {
-        std::fprintf(stderr,
-                     "galsbench: --warmup-insts (%llu) must be < "
-                     "the instruction count (%llu)\n",
-                     static_cast<unsigned long long>(
-                         opts.sweep.warmupInstructions),
-                     static_cast<unsigned long long>(
-                         opts.sweep.instructions));
-        return 2;
-    }
     if (runAll) {
         opts.scenarios.clear();
         for (const Scenario &s : registry.all())
             opts.scenarios.push_back(s.name);
     }
-    checkWarmupGrid(registry, opts.scenarios, opts.sweep);
-    if (opts.scenarios.empty()) {
-        std::fprintf(stderr,
-                     "galsbench: dispatch needs --scenario/--all\n");
-        return 2;
-    }
-    if (opts.outputPath.empty()) {
-        std::fprintf(stderr,
-                     "galsbench: dispatch needs --output PATH for "
-                     "the merged trajectory\n");
-        return 2;
-    }
-    if (opts.workerBinary.empty()) {
-        std::fprintf(stderr,
-                     "galsbench: cannot resolve own binary path; "
-                     "pass --worker-binary PATH\n");
-        return 2;
-    }
+    usageError(axes.finish(registry, opts.scenarios, opts.sweep));
+    if (opts.scenarios.empty())
+        usageError("dispatch needs --scenario/--all");
+    if (opts.outputPath.empty())
+        usageError("dispatch needs --output PATH for the merged trajectory");
+    if (opts.workerBinary.empty())
+        usageError("cannot resolve own binary path; pass --worker-binary "
+                   "PATH");
     checkOutputPath(opts.outputPath);
 
     DispatchReport report;
@@ -874,7 +576,6 @@ main(int argc, char **argv)
     ScenarioRegistry registry;
     bench::registerAllScenarios(registry);
 
-    SweepOptions opts = SweepOptions::fromEnvironment();
     // TEST-ONLY (docs/ORCHESTRATION.md): deterministic worker fault
     // injection for the orchestrator's crash-safety tests.
     if (const char *env = std::getenv("GALSSIM_FAULT")) {
@@ -893,7 +594,9 @@ main(int argc, char **argv)
     if (argc >= 2 && !std::strcmp(argv[1], "parse"))
         return parseMain(argc, argv);
 
-    std::vector<std::string> selected, cliBenchmarks;
+    SweepAxisParser axes;
+    ShardSpec shard;
+    std::vector<std::string> selected;
     std::vector<std::string> mergeFiles, mergeManifestFiles;
     std::string outputPath, manifestPath, verifyPath;
     bool listOnly = false, runAll = false, jobsFlag = false;
@@ -909,6 +612,11 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
+        if (const auto err = axes.take(argc, argv, i)) {
+            usageError(*err);
+            sweepFlags.push_back(arg);
+            continue;
+        }
         if (!std::strcmp(arg, "--list")) {
             listOnly = true;
         } else if (!std::strcmp(arg, "--all")) {
@@ -921,81 +629,10 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--format")) {
             format = parseOutputFormat(argValue(argc, argv, i));
             sweepFlags.push_back("--format");
-        } else if (!std::strcmp(arg, "--insts")) {
-            opts.instructions =
-                numericValue("--insts", argValue(argc, argv, i));
-            sweepFlags.push_back("--insts");
-            if (opts.instructions == 0) {
-                std::fprintf(stderr,
-                             "galsbench: --insts must be > 0\n");
-                return 2;
-            }
-        } else if (!std::strcmp(arg, "--bench")) {
-            cliBenchmarks.push_back(argValue(argc, argv, i));
-            sweepFlags.push_back("--bench");
-        } else if (!std::strcmp(arg, "--seed")) {
-            opts.seed =
-                numericValue("--seed", argValue(argc, argv, i));
-            sweepFlags.push_back("--seed");
-        } else if (!std::strcmp(arg, "--seeds")) {
-            opts.seedReplicas =
-                unsignedValue("--seeds", argValue(argc, argv, i));
-            sweepFlags.push_back("--seeds");
-            if (opts.seedReplicas == 0) {
-                std::fprintf(stderr,
-                             "galsbench: --seeds must be > 0\n");
-                return 2;
-            }
-        } else if (!std::strcmp(arg, "--seed-list")) {
-            opts.explicitSeeds =
-                seedListValue(argValue(argc, argv, i));
-            sweepFlags.push_back("--seed-list");
         } else if (!std::strcmp(arg, "--shard")) {
-            opts.shard = shardValue(argValue(argc, argv, i));
+            // This invocation's slice of the grid, not a sweep axis.
+            shard = shardValue(argValue(argc, argv, i));
             sweepFlags.push_back("--shard");
-        } else if (!std::strcmp(arg, "--cores")) {
-            opts.coreCounts = coreListValue(argValue(argc, argv, i));
-            sweepFlags.push_back("--cores");
-        } else if (!std::strcmp(arg, "--topology")) {
-            opts.topologies =
-                topologyListValue(argValue(argc, argv, i));
-            sweepFlags.push_back("--topology");
-        } else if (!std::strcmp(arg, "--traffic")) {
-            opts.traffics =
-                trafficListValue(argValue(argc, argv, i));
-            sweepFlags.push_back("--traffic");
-        } else if (!std::strcmp(arg, "--interval-ticks")) {
-            opts.intervalTicks = numericValue(
-                "--interval-ticks", argValue(argc, argv, i));
-            sweepFlags.push_back("--interval-ticks");
-            if (opts.intervalTicks == 0) {
-                std::fprintf(stderr,
-                             "galsbench: --interval-ticks must be "
-                             "> 0\n");
-                return 2;
-            }
-        } else if (!std::strcmp(arg, "--warmup-insts")) {
-            opts.warmupInstructions = numericValue(
-                "--warmup-insts", argValue(argc, argv, i));
-            sweepFlags.push_back("--warmup-insts");
-            if (opts.warmupInstructions == 0) {
-                std::fprintf(stderr,
-                             "galsbench: --warmup-insts must be "
-                             "> 0\n");
-                return 2;
-            }
-        } else if (!std::strcmp(arg, "--snapshot-dir")) {
-            const std::string dir = argValue(argc, argv, i);
-            sweepFlags.push_back("--snapshot-dir");
-            std::error_code ec;
-            if (!std::filesystem::is_directory(dir, ec)) {
-                std::fprintf(stderr,
-                             "galsbench: --snapshot-dir '%s' is "
-                             "not an existing directory\n",
-                             dir.c_str());
-                return 2;
-            }
-            setSnapshotDir(dir);
         } else if (!std::strcmp(arg, "--merge")) {
             fileListValue("--merge", argc, argv, i, mergeFiles);
         } else if (!std::strcmp(arg, "--merge-manifest")) {
@@ -1035,23 +672,18 @@ main(int argc, char **argv)
         }
     }
 
-    // Explicit --bench flags override the GALSSIM_BENCH default.
-    if (!cliBenchmarks.empty())
-        opts.benchmarks = std::move(cliBenchmarks);
-    checkFabricAxes(opts);
-    // Checked after the whole parse so --insts/--warmup-insts order
-    // does not matter.
-    if (opts.warmupInstructions > 0 &&
-        opts.warmupInstructions >= opts.instructions) {
-        std::fprintf(stderr,
-                     "galsbench: --warmup-insts (%llu) must be < "
-                     "the instruction count (%llu)\n",
-                     static_cast<unsigned long long>(
-                         opts.warmupInstructions),
-                     static_cast<unsigned long long>(
-                         opts.instructions));
-        return 2;
+    if (runAll) {
+        // --all replaces any --scenario picks (no duplicate runs).
+        selected.clear();
+        for (const Scenario &s : registry.all())
+            selected.push_back(s.name);
     }
+    // Checked after the whole parse so flag order does not matter.
+    SweepOptions opts;
+    usageError(axes.finish(registry, selected, opts));
+    opts.shard = shard;
+    if (!opts.snapshotDir.empty())
+        setSnapshotDir(opts.snapshotDir);
 
     if (cliFault.active())
         setFaultPlan(cliFault);
@@ -1061,11 +693,8 @@ main(int argc, char **argv)
         (!opts.shard.active() || outputPath.empty() ||
          trajectoryFormatForPath(outputPath) ==
              TrajectoryFormat::csv)) {
-        std::fprintf(stderr,
-                     "galsbench: --resume-skip only applies to a "
-                     "--shard run with a JSON-lines or gtrj "
-                     "--output\n");
-        return 2;
+        usageError("--resume-skip only applies to a --shard run with a "
+                   "JSON-lines or gtrj --output");
     }
 
     const bool mergeMode =
@@ -1075,11 +704,8 @@ main(int argc, char **argv)
     if (static_cast<int>(listOnly) + static_cast<int>(mergeMode) +
             static_cast<int>(verifyMode) + static_cast<int>(runMode) >
         1) {
-        std::fprintf(stderr,
-                     "galsbench: --list, --merge/--merge-manifest, "
-                     "--verify and scenario runs are mutually "
-                     "exclusive\n");
-        return 2;
+        usageError("--list, --merge/--merge-manifest, --verify and scenario "
+                   "runs are mutually exclusive");
     }
 
     // --jobs feeds the ExperimentEngine, which merge mode never
@@ -1087,46 +713,32 @@ main(int argc, char **argv)
     if (mergeMode && jobsFlag)
         sweepFlags.insert(sweepFlags.begin(), "--jobs");
     if ((mergeMode || verifyMode) && !sweepFlags.empty()) {
-        std::fprintf(stderr,
-                     "galsbench: %s does not apply to %s (the "
-                     "%s)\n",
-                     sweepFlags.front().c_str(),
-                     verifyMode ? "--verify" : "--merge",
-                     verifyMode
-                         ? "manifest alone defines the replay"
-                         : "inputs alone define the merge");
-        return 2;
+        usageError(sweepFlags.front() + " does not apply to " +
+                   (verifyMode ? "--verify (the manifest alone defines "
+                                 "the replay)"
+                               : "--merge (the inputs alone define the "
+                                 "merge)"));
     }
 
     if (mergeMode) {
-        if (!mergeFiles.empty() && outputPath.empty()) {
-            std::fprintf(stderr,
-                         "galsbench: --merge needs --output PATH for "
-                         "the merged trajectory\n");
-            return 2;
-        }
-        if (!mergeManifestFiles.empty() && manifestPath.empty()) {
-            std::fprintf(stderr,
-                         "galsbench: --merge-manifest needs "
-                         "--manifest PATH for the merged manifest\n");
-            return 2;
-        }
+        if (!mergeFiles.empty() && outputPath.empty())
+            usageError("--merge needs --output PATH for the merged "
+                       "trajectory");
+        if (!mergeManifestFiles.empty() && manifestPath.empty())
+            usageError("--merge-manifest needs --manifest PATH for the "
+                       "merged manifest");
         if (mergeManifestFiles.empty() && !manifestPath.empty()) {
             // Silently skipping the manifest would archive a merged
             // trajectory that a later --verify has nothing to
             // replay against.
-            std::fprintf(stderr,
-                         "galsbench: --manifest in merge mode needs "
-                         "the shard manifests via --merge-manifest\n");
-            return 2;
+            usageError("--manifest in merge mode needs the shard manifests "
+                       "via --merge-manifest");
         }
         if (mergeFiles.empty() && !outputPath.empty()) {
             // The symmetric hazard: a merged manifest recording a
             // trajectory this invocation never produced.
-            std::fprintf(stderr,
-                         "galsbench: --output in merge mode needs "
-                         "the shard trajectories via --merge\n");
-            return 2;
+            usageError("--output in merge mode needs the shard trajectories "
+                       "via --merge");
         }
         // Manifests first: when both are given, the recovered sweep
         // shape is the authoritative completeness check for the
@@ -1156,13 +768,9 @@ main(int argc, char **argv)
     }
 
     if (verifyMode) {
-        if (!outputPath.empty() || !manifestPath.empty()) {
-            std::fprintf(stderr,
-                         "galsbench: --verify replays an archived "
-                         "manifest; --output/--manifest do not "
-                         "apply\n");
-            return 2;
-        }
+        if (!outputPath.empty() || !manifestPath.empty())
+            usageError("--verify replays an archived manifest; "
+                       "--output/--manifest do not apply");
         const ExperimentEngine engine(jobs);
         return verifyManifest(registry, engine, verifyPath,
                               std::cerr)
@@ -1171,12 +779,9 @@ main(int argc, char **argv)
     }
 
     if (listOnly) {
-        if (!outputPath.empty() || !manifestPath.empty()) {
-            std::fprintf(stderr,
-                         "galsbench: --output/--manifest are only "
-                         "valid when running scenarios\n");
-            return 2;
-        }
+        if (!outputPath.empty() || !manifestPath.empty())
+            usageError("--output/--manifest are only valid when running "
+                       "scenarios");
         if (format == OutputFormat::markdown) {
             // The checked-in catalog documents the registry at stock
             // sweep defaults, deliberately ignoring GALSSIM_INSTS /
@@ -1194,19 +799,8 @@ main(int argc, char **argv)
         return stdoutExitCode();
     }
 
-    if (format == OutputFormat::markdown) {
-        std::fprintf(stderr,
-                     "galsbench: --format md is only valid with "
-                     "--list\n");
-        return 2;
-    }
-
-    if (runAll) {
-        // --all replaces any --scenario picks (no duplicate runs).
-        selected.clear();
-        for (const Scenario &s : registry.all())
-            selected.push_back(s.name);
-    }
+    if (format == OutputFormat::markdown)
+        usageError("--format md is only valid with --list");
 
     if (selected.empty()) {
         std::fprintf(stderr,
@@ -1230,15 +824,11 @@ main(int argc, char **argv)
         }
         scenarios.push_back(scenario);
     }
-    checkWarmupGrid(registry, selected, opts);
 
     if (opts.shard.active() && outputPath.empty() &&
         manifestPath.empty()) {
-        std::fprintf(stderr,
-                     "galsbench: --shard runs a grid slice whose "
-                     "reports are suppressed; give --output and/or "
-                     "--manifest to keep its records\n");
-        return 2;
+        usageError("--shard runs a grid slice whose reports are suppressed; "
+                   "give --output and/or --manifest to keep its records");
     }
 
     std::unique_ptr<TrajectorySink> sink;

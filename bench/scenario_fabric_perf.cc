@@ -80,6 +80,7 @@ fabricPerfScenario()
         "GALS vs base across an N-core fabric (cores x topology x "
         "traffic)";
 
+    s.readsFabricAxes = true;
     s.makeRuns = [](const SweepOptions &opts) {
         std::vector<RunConfig> runs;
         for (const FabricPoint &p : fabricPerfPoints(opts)) {

@@ -27,6 +27,7 @@ fabricSmokeScenario()
     s.description =
         "CI smoke: base/GALS pair on a 4-core ring, uniform traffic";
 
+    s.readsFabricAxes = true;
     s.makeRuns = [](const SweepOptions &opts) {
         std::vector<RunConfig> runs;
         const std::string bench = primaryBenchmark(opts, "gcc");

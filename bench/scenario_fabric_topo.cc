@@ -61,6 +61,7 @@ fabricTopoScenario()
     s.description =
         "Topology x traffic-matrix sensitivity of the GALS fabric";
 
+    s.readsFabricAxes = true;
     s.makeRuns = [](const SweepOptions &opts) {
         std::vector<RunConfig> runs;
         const std::string bench = primaryBenchmark(opts, "gcc");

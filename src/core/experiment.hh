@@ -51,8 +51,9 @@ struct RunConfig
      *  IPC / per-domain energy / FIFO occupancy every K ticks into
      *  RunResults::intervals. 0 (the default) disables the meter and
      *  — like the fabric axes — keeps the config unhashed, so every
-     *  pre-meter config keeps its archived hash. Applies to the
-     *  single-core path; fabric runs record no samples. */
+     *  pre-meter config keeps its archived hash. Single-core only:
+     *  fabric runs record no samples, and galsbench rejects the meter
+     *  for grids that hold one. */
     std::uint64_t intervalTicks = 0;
     /** Warm-state split (`--warmup-insts K`): run the first K
      *  instructions under the canonical warmup configuration

@@ -14,6 +14,7 @@
 #include "runner/gtrj.hh"
 #include "runner/json.hh"
 #include "runner/scenario.hh"
+#include "runner/sweep_axes.hh"
 #include "runner/trajectory.hh"
 
 namespace gals::runner
@@ -227,7 +228,7 @@ struct ParsedManifest
 {
     std::string version;    ///< galssim_version
     std::string engineName; ///< "calendar" (or the retired "heap")
-    SweepOptions opts;      ///< instructions, seeds, benchmarks, shard
+    SweepOptions opts;      ///< the sweep axes and the shard
     std::string output;     ///< trajectory path; empty when null
     std::vector<ManifestScenario> scenarios;
 };
@@ -257,75 +258,14 @@ readManifest(const std::string &path, ParsedManifest &out,
 
     const json::Value *ver = v.find("galssim_version");
     const json::Value *eng = v.find("engine");
-    const json::Value *insts = v.find("instructions");
-    const json::Value *seeds = v.find("seeds");
     if (!ver || ver->kind != json::Value::Kind::string || !eng ||
-        eng->kind != json::Value::Kind::string || !insts ||
-        !insts->asU64(out.opts.instructions) || !seeds ||
-        seeds->kind != json::Value::Kind::array)
-        return fail("missing/malformed version, engine, "
-                    "instructions or seeds");
+        eng->kind != json::Value::Kind::string)
+        return fail("missing/malformed version or engine");
     out.version = ver->str;
     out.engineName = eng->str;
-
-    for (const json::Value &s : seeds->items) {
-        std::uint64_t seed = 0;
-        if (!s.asU64(seed))
-            return fail("non-integral seed");
-        out.opts.explicitSeeds.push_back(seed);
-    }
-    if (out.opts.explicitSeeds.empty())
-        return fail("empty seeds list");
-    out.opts.seed = out.opts.explicitSeeds.front();
-
-    if (const json::Value *bench = v.find("benchmarks")) {
-        if (bench->kind != json::Value::Kind::array)
-            return fail("malformed benchmarks");
-        for (const json::Value &b : bench->items) {
-            if (b.kind != json::Value::Kind::string)
-                return fail("non-string benchmark");
-            out.opts.benchmarks.push_back(b.str);
-        }
-    }
-
-    if (const json::Value *fab = v.find("fabric")) {
-        const json::Value *cores = fab->find("cores");
-        const json::Value *topos = fab->find("topologies");
-        const json::Value *traffics = fab->find("traffics");
-        if (!cores || cores->kind != json::Value::Kind::array ||
-            !topos || topos->kind != json::Value::Kind::array ||
-            !traffics ||
-            traffics->kind != json::Value::Kind::array)
-            return fail("malformed fabric object");
-        for (const json::Value &c : cores->items) {
-            std::uint64_t n = 0;
-            if (!c.asU64(n) || n < 1)
-                return fail("non-integral fabric core count");
-            out.opts.coreCounts.push_back(static_cast<unsigned>(n));
-        }
-        for (const json::Value &t : topos->items) {
-            if (t.kind != json::Value::Kind::string)
-                return fail("non-string fabric topology");
-            out.opts.topologies.push_back(t.str);
-        }
-        for (const json::Value &t : traffics->items) {
-            if (t.kind != json::Value::Kind::string)
-                return fail("non-string fabric traffic");
-            out.opts.traffics.push_back(t.str);
-        }
-    }
-
-    if (const json::Value *ivl = v.find("interval_ticks")) {
-        if (!ivl->asU64(out.opts.intervalTicks) ||
-            out.opts.intervalTicks == 0)
-            return fail("malformed interval_ticks");
-    }
-
-    if (const json::Value *wu = v.find("warmup_insts")) {
-        if (!wu->asU64(out.opts.warmupInstructions) ||
-            out.opts.warmupInstructions == 0)
-            return fail("malformed warmup_insts");
-    }
+    const std::string axisErr = readSweepAxes(v, out.opts);
+    if (!axisErr.empty())
+        return fail(axisErr);
 
     if (const json::Value *shard = v.find("shard")) {
         const json::Value *idx = shard->find("index");
@@ -372,19 +312,16 @@ readManifest(const std::string &path, ParsedManifest &out,
     return true;
 }
 
-bool
-sameScenarios(const std::vector<ManifestScenario> &a,
-              const std::vector<ManifestScenario> &b)
+/** The manifest @p m without its shard and output: what every shard
+ *  manifest of one sweep shares (engine, sweep axes, scenarios). */
+std::string
+sweepIdentity(const ParsedManifest &m)
 {
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (a[i].name != b[i].name ||
-            a[i].gridSize != b[i].gridSize ||
-            a[i].replicas != b[i].replicas ||
-            a[i].configHash != b[i].configHash)
-            return false;
-    return true;
+    SweepOptions opts = m.opts;
+    opts.shard = ShardSpec();
+    std::ostringstream os;
+    writeManifest(os, opts, m.engineName, "", m.scenarios);
+    return os.str();
 }
 
 /** Directory part of @p path including the trailing '/', or empty. */
@@ -791,18 +728,8 @@ mergeManifests(const std::vector<std::string> &shardFiles,
     for (std::size_t i = 0; i < parsed.size(); ++i) {
         const ParsedManifest &m = parsed[i];
         if (m.version != first.version ||
-            m.engineName != first.engineName ||
-            m.opts.instructions != first.opts.instructions ||
-            m.opts.explicitSeeds != first.opts.explicitSeeds ||
-            m.opts.benchmarks != first.opts.benchmarks ||
-            m.opts.coreCounts != first.opts.coreCounts ||
-            m.opts.topologies != first.opts.topologies ||
-            m.opts.traffics != first.opts.traffics ||
-            m.opts.intervalTicks != first.opts.intervalTicks ||
-            m.opts.warmupInstructions !=
-                first.opts.warmupInstructions ||
             m.opts.shard.count != count ||
-            !sameScenarios(m.scenarios, first.scenarios)) {
+            sweepIdentity(m) != sweepIdentity(first)) {
             diag << "merge-manifest: '" << shardFiles[i]
                  << "' disagrees with '" << shardFiles.front()
                  << "' (different sweep?)\n";

@@ -20,6 +20,7 @@
 #include "runner/json.hh"
 #include "runner/merge.hh"
 #include "runner/reporter.hh"
+#include "runner/sweep_axes.hh"
 #include "runner/trajectory.hh"
 #include "runner/worker_proc.hh"
 
@@ -325,18 +326,6 @@ monotonicNowMs()
             .count());
 }
 
-std::string
-commaJoin(const std::vector<std::uint64_t> &values)
-{
-    std::string out;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i)
-            out += ',';
-        out += std::to_string(values[i]);
-    }
-    return out;
-}
-
 /** Everything known about one slice while the dispatch runs. */
 struct SliceRuntime
 {
@@ -528,41 +517,9 @@ runDispatch(const ScenarioRegistry &registry,
          << jsonQuote(galssimVersion())
          << ",\"engine\":" << jsonQuote(manifestEngineName)
          << ",\"slices\":" << M
-         << ",\"output\":" << jsonQuote(opts.outputPath)
-         << ",\"instructions\":" << opts.sweep.instructions
-         << ",\"seeds\":[" << commaJoin(opts.sweep.seedList())
-         << "],\"benchmarks\":[";
-    for (std::size_t i = 0; i < opts.sweep.benchmarks.size(); ++i)
-        plan << (i ? "," : "")
-             << jsonQuote(opts.sweep.benchmarks[i]);
-    plan << "]";
-    // Gated like the manifest's fabric object: absent for pre-fabric
-    // sweeps, so their plan lines (and thus resumability of archived
-    // dispatch directories) keep their exact historical bytes.
-    if (!opts.sweep.coreCounts.empty() ||
-        !opts.sweep.topologies.empty() ||
-        !opts.sweep.traffics.empty()) {
-        plan << ",\"fabric\":{\"cores\":[";
-        for (std::size_t i = 0; i < opts.sweep.coreCounts.size(); ++i)
-            plan << (i ? "," : "") << opts.sweep.coreCounts[i];
-        plan << "],\"topologies\":[";
-        for (std::size_t i = 0; i < opts.sweep.topologies.size(); ++i)
-            plan << (i ? "," : "")
-                 << jsonQuote(opts.sweep.topologies[i]);
-        plan << "],\"traffics\":[";
-        for (std::size_t i = 0; i < opts.sweep.traffics.size(); ++i)
-            plan << (i ? "," : "")
-                 << jsonQuote(opts.sweep.traffics[i]);
-        plan << "]}";
-    }
-    // Gated the same way: only metered sweeps mention the interval,
-    // only warm sweeps mention the split. The snapshot directory is
-    // deliberately absent — it caches, it does not define the sweep.
-    if (opts.sweep.intervalTicks > 0)
-        plan << ",\"interval_ticks\":" << opts.sweep.intervalTicks;
-    if (opts.sweep.warmupInstructions > 0)
-        plan << ",\"warmup_insts\":"
-             << opts.sweep.warmupInstructions;
+         << ",\"output\":" << jsonQuote(opts.outputPath);
+    // The manifest's axis rows and gating, in compact form.
+    writeSweepAxes(plan, opts.sweep, false);
     plan << ",\"scenarios\":[";
     for (std::size_t i = 0; i < shapes.size(); ++i)
         plan << (i ? "," : "") << "{\"name\":"
@@ -773,61 +730,7 @@ runDispatch(const ScenarioRegistry &registry,
                        std::to_string(M));
         argv.push_back("--jobs");
         argv.push_back(std::to_string(opts.workerJobs));
-        argv.push_back("--insts");
-        argv.push_back(std::to_string(opts.sweep.instructions));
-        argv.push_back("--seed-list");
-        argv.push_back(commaJoin(opts.sweep.seedList()));
-        for (const std::string &b : opts.sweep.benchmarks) {
-            argv.push_back("--bench");
-            argv.push_back(b);
-        }
-        if (!opts.sweep.coreCounts.empty()) {
-            std::string cores;
-            for (std::size_t k = 0; k < opts.sweep.coreCounts.size();
-                 ++k) {
-                if (k)
-                    cores += ',';
-                cores += std::to_string(opts.sweep.coreCounts[k]);
-            }
-            argv.push_back("--cores");
-            argv.push_back(cores);
-        }
-        if (!opts.sweep.topologies.empty()) {
-            std::string topos;
-            for (std::size_t k = 0; k < opts.sweep.topologies.size();
-                 ++k) {
-                if (k)
-                    topos += ',';
-                topos += opts.sweep.topologies[k];
-            }
-            argv.push_back("--topology");
-            argv.push_back(topos);
-        }
-        if (!opts.sweep.traffics.empty()) {
-            std::string traffics;
-            for (std::size_t k = 0; k < opts.sweep.traffics.size();
-                 ++k) {
-                if (k)
-                    traffics += ',';
-                traffics += opts.sweep.traffics[k];
-            }
-            argv.push_back("--traffic");
-            argv.push_back(traffics);
-        }
-        if (opts.sweep.intervalTicks > 0) {
-            argv.push_back("--interval-ticks");
-            argv.push_back(
-                std::to_string(opts.sweep.intervalTicks));
-        }
-        if (opts.sweep.warmupInstructions > 0) {
-            argv.push_back("--warmup-insts");
-            argv.push_back(
-                std::to_string(opts.sweep.warmupInstructions));
-        }
-        if (!opts.snapshotDir.empty()) {
-            argv.push_back("--snapshot-dir");
-            argv.push_back(opts.snapshotDir);
-        }
+        appendSweepAxisArgs(opts.sweep, argv);
         argv.push_back("--output");
         argv.push_back(rt.recordsPath);
         argv.push_back("--manifest");

@@ -223,8 +223,10 @@ struct DispatchOptions
     /** Resolved scenario names, in execution order. */
     std::vector<std::string> scenarios;
 
-    /** Sweep shape (instructions, seeds, benchmarks); the shard
-     *  field is ignored — dispatch owns the slicing. */
+    /** Sweep shape, forwarded to every worker through the axis
+     *  table — sweep.snapshotDir included, so slices share warmup
+     *  stems on disk across an orchestrator crash and resume. The
+     *  shard field is ignored: dispatch owns the slicing. */
     SweepOptions sweep;
 
     /** Final merged trajectory (JSON-lines or gtrj — CSV cannot be
@@ -251,13 +253,6 @@ struct DispatchOptions
 
     /** Discard any existing work directory instead of resuming. */
     bool fresh = false;
-
-    /** Warm-snapshot exchange directory (`--snapshot-dir`),
-     *  forwarded to every worker so slices share warmup stems on
-     *  disk — including across an orchestrator crash and resume.
-     *  Not run-defining: it never appears in the plan line or any
-     *  manifest. Empty = workers memoize in-process only. */
-    std::string snapshotDir;
 
     /** TEST-ONLY: extra argv appended to every worker launch (e.g. a
      *  persistent fault flag). */

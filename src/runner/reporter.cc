@@ -213,9 +213,11 @@ writeJsonLines(std::ostream &os, const std::string &scenario,
             os << "]";
         }
         // Interval-meter series, gated on the config so the array is
-        // present (possibly empty, e.g. fabric runs) exactly when the
-        // meter was requested; unmetered records keep their exact
-        // bytes.
+        // present exactly when the meter was requested; unmetered
+        // records keep their exact bytes. Only single-core runs are
+        // metered (the CLI rejects the meter on fabric grids), so an
+        // empty array comes only from an archive written before that
+        // rejection.
         if (c.intervalTicks > 0) {
             os << ",\"interval_ticks\":" << num(c.intervalTicks)
                << ",\"intervals\":[";

@@ -1,7 +1,6 @@
 #include "runner/scenario.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 
 #include "sim/logging.hh"
@@ -25,17 +24,6 @@ SweepOptions::seedList() const
     for (unsigned r = 0; r < std::max(1u, seedReplicas); ++r)
         seeds.push_back(seed + r);
     return seeds;
-}
-
-SweepOptions
-SweepOptions::fromEnvironment()
-{
-    SweepOptions opts;
-    if (const char *env = std::getenv("GALSSIM_INSTS"))
-        opts.instructions = std::strtoull(env, nullptr, 10);
-    if (const char *env = std::getenv("GALSSIM_BENCH"))
-        opts.benchmarks = {std::string(env)};
-    return opts;
 }
 
 void
@@ -110,7 +98,9 @@ expandReplicatedRuns(const Scenario &s, const SweepOptions &opts,
     // not support warm snapshots, and leaving their field at 0 keeps
     // their hashes unchanged instead of silently ignoring the option
     // mid-run (runOne asserts the combination never reaches it, and
-    // galsbench rejects --warmup-insts for grids with fabric runs).
+    // galsbench rejects --warmup-insts and --interval-ticks for grids
+    // with fabric runs; --verify of an older fabric archive recording
+    // an interval still reproduces its stamped hash).
     for (RunConfig &cfg : all) {
         cfg.intervalTicks = opts.intervalTicks;
         if (!cfg.fabric.active())

@@ -28,7 +28,8 @@
 namespace gals::runner
 {
 
-/** Sweep-wide knobs every scenario expands against. */
+/** Sweep-wide knobs every scenario expands against. Each axis is a
+ *  row of runner/sweep_axes.hh, which owns its flags and records. */
 struct SweepOptions
 {
     /** Instructions per run. */
@@ -59,10 +60,8 @@ struct SweepOptions
 
     /** @name Fabric axes (`--cores`, `--topology`, `--traffic`)
      *
-     * Empty vectors mean "the scenario's default sweep" — the state
-     * every pre-fabric invocation is in, so manifests, plan lines and
-     * worker command lines only mention these axes when they are
-     * explicitly set. Fabric-family scenarios cross their grid with
+     * Empty vectors mean "the scenario's default sweep". Scenarios
+     * declaring Scenario::readsFabricAxes cross their grid with
      * whichever of these are non-empty.
      */
     /// @{
@@ -90,8 +89,7 @@ struct SweepOptions
     /// @}
 
     /** Interval-meter period (`--interval-ticks K`), stamped onto
-     *  every expanded run by expandReplicatedRuns(); 0 = off (the
-     *  pre-meter state every manifest and plan line is in). */
+     *  every expanded run by expandReplicatedRuns(); 0 = off. */
     std::uint64_t intervalTicks = 0;
 
     /** Warm-state split (`--warmup-insts K`), stamped by
@@ -99,6 +97,11 @@ struct SweepOptions
      *  grid (fabric runs do not support warmup snapshots and keep
      *  the field 0, so their hashes never change). 0 = off. */
     std::uint64_t warmupInstructions = 0;
+
+    /** Warm-snapshot exchange directory (`--snapshot-dir`) shared by
+     *  separate processes; empty = in-process memoization only. Not
+     *  run-defining: it never reaches a RunConfig or a manifest. */
+    std::string snapshotDir;
 
     /** The replica seeds, in run order: @ref explicitSeeds when
      *  given, else seed, seed+1, ..., seed+seedReplicas-1. */
@@ -111,14 +114,6 @@ struct SweepOptions
     /** The benchmark sweep set: @ref benchmarks, or all shipped
      *  benchmarks when empty. */
     std::vector<std::string> benchmarkSet() const;
-
-    /**
-     * Defaults from the environment, honouring the knobs the
-     * hand-rolled bench drivers always supported: GALSSIM_INSTS
-     * (instructions per run) and GALSSIM_BENCH (restrict the sweep to
-     * one benchmark).
-     */
-    static SweepOptions fromEnvironment();
 };
 
 struct ReplicaSummary; // runner/stats.hh
@@ -159,6 +154,11 @@ struct Scenario
      *  order, see SweepView) into the figure's report on stdout. */
     std::function<void(const SweepOptions &, const SweepView &)>
         reduce;
+
+    /** makeRuns() reads the fabric axes (SweepOptions::coreCounts,
+     *  topologies, traffics); the CLI rejects those flags when no
+     *  selected scenario does. */
+    bool readsFabricAxes = false;
 };
 
 /** Named collection of scenarios, in registration order. */

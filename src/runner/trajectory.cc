@@ -10,6 +10,7 @@
 #include "runner/gtrj.hh"
 #include "runner/reporter.hh"
 #include "runner/scenario.hh"
+#include "runner/sweep_axes.hh"
 #include "sim/logging.hh"
 
 namespace gals::runner
@@ -196,72 +197,8 @@ writeManifest(std::ostream &os, const SweepOptions &opts,
        << "  \"manifest_version\": 1,\n"
        << "  \"galssim_version\": " << jsonQuote(galssimVersion())
        << ",\n"
-       << "  \"engine\": " << jsonQuote(engineName) << ",\n"
-       << "  \"instructions\": " << opts.instructions << ",\n";
-
-    os << "  \"seeds\": [";
-    bool first = true;
-    for (std::uint64_t seed : opts.seedList()) {
-        if (!first)
-            os << ", ";
-        first = false;
-        os << seed;
-    }
-    os << "],\n";
-
-    // The CLI benchmark restriction; empty means every scenario uses
-    // its default sweep set.
-    os << "  \"benchmarks\": [";
-    first = true;
-    for (const std::string &b : opts.benchmarks) {
-        if (!first)
-            os << ", ";
-        first = false;
-        os << jsonQuote(b);
-    }
-    os << "],\n";
-
-    // Fabric axes (--cores / --topology / --traffic), written only
-    // when explicitly set: pre-fabric manifests — including archived
-    // PR 3-6 ones — keep their exact historical bytes.
-    if (!opts.coreCounts.empty() || !opts.topologies.empty() ||
-        !opts.traffics.empty()) {
-        os << "  \"fabric\": {\"cores\": [";
-        first = true;
-        for (unsigned c : opts.coreCounts) {
-            if (!first)
-                os << ", ";
-            first = false;
-            os << c;
-        }
-        os << "], \"topologies\": [";
-        first = true;
-        for (const std::string &t : opts.topologies) {
-            if (!first)
-                os << ", ";
-            first = false;
-            os << jsonQuote(t);
-        }
-        os << "], \"traffics\": [";
-        first = true;
-        for (const std::string &t : opts.traffics) {
-            if (!first)
-                os << ", ";
-            first = false;
-            os << jsonQuote(t);
-        }
-        os << "]},\n";
-    }
-
-    // Interval meter (--interval-ticks), written only when enabled:
-    // pre-meter manifests keep their exact historical bytes.
-    if (opts.intervalTicks > 0)
-        os << "  \"interval_ticks\": " << opts.intervalTicks << ",\n";
-
-    // Warmup split (--warmup-insts), gated the same way.
-    if (opts.warmupInstructions > 0)
-        os << "  \"warmup_insts\": " << opts.warmupInstructions
-           << ",\n";
+       << "  \"engine\": " << jsonQuote(engineName) << ",\n";
+    writeSweepAxes(os, opts, true);
 
     if (opts.shard.active())
         os << "  \"shard\": {\"index\": " << opts.shard.index

@@ -694,7 +694,7 @@ TEST_F(DispatchIntegration, WarmupSnapshotDirSurvivesKillAndResume)
 
     DispatchOptions opts = integrationOptions(out);
     opts.sweep = sweep;
-    opts.snapshotDir = snapDir;
+    opts.sweep.snapshotDir = snapDir;
 
     std::ostringstream diag1;
     ASSERT_TRUE(runDispatch(registry_, opts, diag1, nullptr))
@@ -921,6 +921,106 @@ TEST_F(Cli, DispatchRejectsWarmupOnFabricRuns)
                            err),
               2);
     EXPECT_NE(err.find("--warmup-insts does not apply to fabric"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    EXPECT_FALSE(fs::exists(out + ".dispatch"));
+}
+
+TEST_F(Cli, SweepRejectsIntervalOnFabricRuns)
+{
+    // Fabric runs attach no interval meter; the flag must not leave
+    // records with an empty series under a manifest claiming it.
+    const std::string out = tempPath("cli_fabric_interval.jsonl");
+    std::remove(out.c_str());
+    std::string err;
+    EXPECT_EQ(runGalsbench("--scenario fabric_smoke --insts 2000 "
+                           "--interval-ticks 100000 --output " + out,
+                           err),
+              2);
+    EXPECT_NE(err.find("--interval-ticks does not apply to fabric"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    EXPECT_FALSE(fs::exists(out));
+
+    // A single-core grid of the same scenario is metered as before.
+    EXPECT_EQ(runGalsbench("--scenario fabric_smoke --cores 1 --insts "
+                           "2000 --interval-ticks 100000 --format json",
+                           err),
+              0)
+        << err;
+}
+
+TEST_F(Cli, DispatchRejectsIntervalOnFabricRuns)
+{
+    const std::string out = tempPath("cli_dispatch_interval.jsonl");
+    fs::remove_all(out + ".dispatch");
+    std::string err;
+    EXPECT_EQ(runGalsbench("dispatch --scenario fabric_smoke --insts "
+                           "2000 --interval-ticks 1000 --output " + out,
+                           err),
+              2);
+    EXPECT_NE(err.find("--interval-ticks does not apply to fabric"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    EXPECT_FALSE(fs::exists(out + ".dispatch"));
+}
+
+TEST_F(Cli, SweepRejectsFabricAxesNoSelectedScenarioReads)
+{
+    // fig05 never reads the fabric axes, so the manifest must not
+    // record a fabric object no run honoured.
+    const std::string out = tempPath("cli_fig05_cores.jsonl");
+    const std::string manifest = tempPath("cli_fig05_cores.json");
+    std::remove(out.c_str());
+    std::remove(manifest.c_str());
+    std::string err;
+    EXPECT_EQ(runGalsbench("--scenario fig05 --insts 1000 --cores 4 "
+                           "--topology mesh2d --output " + out +
+                               " --manifest " + manifest,
+                           err),
+              2);
+    EXPECT_NE(err.find("--cores does not apply to the selected "
+                       "scenarios"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    EXPECT_FALSE(fs::exists(out));
+    EXPECT_FALSE(fs::exists(manifest));
+    EXPECT_EQ(runGalsbench("--scenario fig05 --traffic none", err), 2);
+    EXPECT_NE(err.find("--traffic does not apply"), std::string::npos)
+        << err;
+
+    // Any selected reader keeps the axes valid: --all holds the
+    // fabric scenarios (a manifest-only shard expands every grid
+    // without simulating), and fabric_perf reads --cores 1.
+    EXPECT_EQ(runGalsbench("--all --insts 1000 --cores 4 --shard 1/2 "
+                           "--manifest " + manifest,
+                           err),
+              0)
+        << err;
+    EXPECT_NE(slurp(manifest).find("\"fabric\": {\"cores\": [4]"),
+              std::string::npos);
+    EXPECT_EQ(runGalsbench("--scenario fabric_perf --cores 1 --insts "
+                           "1000 --bench gcc --format json",
+                           err),
+              0)
+        << err;
+}
+
+TEST_F(Cli, DispatchRejectsFabricAxesNoSelectedScenarioReads)
+{
+    const std::string out = tempPath("cli_dispatch_cores.jsonl");
+    fs::remove_all(out + ".dispatch");
+    std::string err;
+    EXPECT_EQ(runGalsbench("dispatch --scenario fig05 --insts 1000 "
+                           "--cores 4 --output " + out,
+                           err),
+              2);
+    EXPECT_NE(err.find("--cores does not apply to the selected "
+                       "scenarios"),
               std::string::npos)
         << err;
     EXPECT_NE(err.find("usage:"), std::string::npos) << err;

@@ -252,19 +252,27 @@ TEST(WorkStealing, ShardedGridMatchesUnshardedSlice)
 namespace
 {
 
-/** Archive a small sweep (trajectory + manifest) the way galsbench
- *  does, into @p dir, recording @p engine; returns the manifest
- *  path. */
-std::string
-archiveSweep(const std::string &dir, const std::string &trajName,
-             const std::string &engine = manifestEngineName)
+/** The sweep archiveSweep() records unless told otherwise. */
+SweepOptions
+archiveOptions()
 {
     SweepOptions opts;
     opts.instructions = 1500;
     opts.benchmarks = {"gcc"};
     opts.explicitSeeds = {0, 1};
+    return opts;
+}
 
-    const Scenario *scenario = registry().find("quickstart");
+/** Archive a small sweep of @p scenarioName (trajectory + manifest)
+ *  the way galsbench does, into @p dir, recording @p engine; returns
+ *  the manifest path. */
+std::string
+archiveSweep(const std::string &dir, const std::string &trajName,
+             const std::string &engine = manifestEngineName,
+             const std::string &scenarioName = "quickstart",
+             const SweepOptions &opts = archiveOptions())
+{
+    const Scenario *scenario = registry().find(scenarioName);
     std::size_t gridSize = 0;
     const auto runs = expandReplicatedRuns(*scenario, opts, &gridSize);
     const auto results = ExperimentEngine(2).run(runs);
@@ -275,7 +283,7 @@ archiveSweep(const std::string &dir, const std::string &trajName,
 
     const std::string manifestPath = dir + trajName + ".manifest";
     writeManifestFile(manifestPath, opts, engine, trajName,
-                      {{scenario->name, gridSize, 2,
+                      {{scenario->name, gridSize, opts.seedList().size(),
                         runConfigHash(runs)}});
     return manifestPath;
 }
@@ -357,6 +365,41 @@ TEST(Verify, UnknownEngineFails)
     EXPECT_NE(diag.str().find("unknown engine 'wheel'"),
               std::string::npos)
         << diag.str();
+}
+
+TEST(Verify, ArchivesTheCliNowRejectsStillReplay)
+{
+    // The CLI now rejects fabric axes that no selected scenario reads
+    // and interval meters on fabric runs; archives written before
+    // that still record them, and --verify replays what a manifest
+    // records, whatever a command line may spell.
+    const std::string dir = ::testing::TempDir();
+    SweepOptions fig05 = archiveOptions();
+    fig05.benchmarks = {"adpcm"};
+    fig05.explicitSeeds = {0};
+    fig05.coreCounts = {4};
+    fig05.topologies = {"mesh2d"};
+    const std::string withFabric = archiveSweep(
+        dir, "verify_fig05_fabric.jsonl", manifestEngineName, "fig05",
+        fig05);
+    ASSERT_NE(readAll(withFabric).find("\"fabric\": {\"cores\": [4]"),
+              std::string::npos);
+
+    SweepOptions smoke = archiveOptions();
+    smoke.explicitSeeds = {0};
+    smoke.intervalTicks = 100000;
+    const std::string metered = archiveSweep(
+        dir, "verify_smoke_interval.jsonl", manifestEngineName,
+        "fabric_smoke", smoke);
+    ASSERT_NE(readAll(metered).find("\"interval_ticks\": 100000"),
+              std::string::npos);
+
+    for (const std::string &manifest : {withFabric, metered}) {
+        std::ostringstream diag;
+        EXPECT_TRUE(verifyManifest(registry(), ExperimentEngine(2),
+                                   manifest, diag))
+            << manifest << ": " << diag.str();
+    }
 }
 
 TEST(Verify, TamperedTrajectoryFailsWithRecordDiff)
