@@ -405,11 +405,8 @@ dispatchMain(int argc, char **argv, const ScenarioRegistry &registry)
                    !std::strcmp(arg, "-h")) {
             usage(stdout, 0);
         } else {
-            std::fprintf(stderr,
-                         "galsbench: unknown dispatch argument "
-                         "'%s'\n",
-                         arg);
-            usage(stderr, 2);
+            usageError(std::string("unknown dispatch argument '") + arg +
+                       "'");
         }
     }
 
@@ -453,11 +450,9 @@ parseMain(int argc, char **argv)
             } else if (!std::strcmp(v, "csv")) {
                 csv = true;
             } else {
-                std::fprintf(stderr,
-                             "galsbench: parse --format expects "
-                             "'json' or 'csv', got '%s'\n",
-                             v);
-                usage(stderr, 2);
+                usageError(std::string("parse --format expects 'json' "
+                                       "or 'csv', got '") +
+                           v + "'");
             }
         } else if (!std::strcmp(arg, "--output")) {
             outputPath = argValue(argc, argv, i);
@@ -465,25 +460,17 @@ parseMain(int argc, char **argv)
                    !std::strcmp(arg, "-h")) {
             usage(stdout, 0);
         } else if (!std::strncmp(arg, "--", 2)) {
-            std::fprintf(stderr,
-                         "galsbench: unknown parse argument '%s'\n",
-                         arg);
-            usage(stderr, 2);
+            usageError(std::string("unknown parse argument '") + arg +
+                       "'");
         } else if (inputPath.empty()) {
             inputPath = arg;
         } else {
-            std::fprintf(stderr,
-                         "galsbench: parse takes one input file, got "
-                         "'%s' and '%s'\n",
-                         inputPath.c_str(), arg);
-            usage(stderr, 2);
+            usageError("parse takes one input file, got '" + inputPath +
+                       "' and '" + arg + "'");
         }
     }
-    if (inputPath.empty()) {
-        std::fprintf(stderr,
-                     "galsbench: parse needs an input .gtrj file\n");
-        usage(stderr, 2);
-    }
+    if (inputPath.empty())
+        usageError("parse needs an input .gtrj file");
 
     std::ifstream is(inputPath, std::ios::in | std::ios::binary);
     if (!is) {
@@ -581,11 +568,8 @@ main(int argc, char **argv)
     if (const char *env = std::getenv("GALSSIM_FAULT")) {
         FaultPlan plan;
         std::string ferr;
-        if (!parseFaultSpec(env, plan, ferr)) {
-            std::fprintf(stderr, "galsbench: GALSSIM_FAULT: %s\n",
-                         ferr.c_str());
-            return 2;
-        }
+        if (!parseFaultSpec(env, plan, ferr))
+            usageError("GALSSIM_FAULT: " + ferr);
         setFaultPlan(plan);
     }
 
@@ -666,9 +650,7 @@ main(int argc, char **argv)
                    !std::strcmp(arg, "-h")) {
             usage(stdout, 0);
         } else {
-            std::fprintf(stderr, "galsbench: unknown argument '%s'\n",
-                         arg);
-            usage(stderr, 2);
+            usageError(std::string("unknown argument '") + arg + "'");
         }
     }
 
@@ -802,11 +784,8 @@ main(int argc, char **argv)
     if (format == OutputFormat::markdown)
         usageError("--format md is only valid with --list");
 
-    if (selected.empty()) {
-        std::fprintf(stderr,
-                     "galsbench: no scenario selected (try --list)\n");
-        usage(stderr, 2);
-    }
+    if (selected.empty())
+        usageError("no scenario selected (try --list)");
 
     // Resolve every scenario before opening the sink: the sink
     // truncates --output on open, and a typo'd scenario name must
@@ -815,13 +794,8 @@ main(int argc, char **argv)
     scenarios.reserve(selected.size());
     for (const std::string &name : selected) {
         const Scenario *scenario = registry.find(name);
-        if (!scenario) {
-            std::fprintf(stderr,
-                         "galsbench: unknown scenario '%s' (try "
-                         "--list)\n",
-                         name.c_str());
-            return 2;
-        }
+        if (!scenario)
+            usageError("unknown scenario '" + name + "' (try --list)");
         scenarios.push_back(scenario);
     }
 
