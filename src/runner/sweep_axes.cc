@@ -252,6 +252,8 @@ checkWarmup(const SweepOptions &o)
                                  std::to_string(n) + ")";
 }
 
+// -------------------------------------------------- manifest values
+
 /** The row's JSON value, built from its argv values. */
 void
 writeValue(std::ostream &os, const SweepAxis &row, const SweepOptions &o,
