@@ -50,7 +50,6 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -58,6 +57,7 @@
 
 #include "bench/register_all.hh"
 #include "core/snapshot.hh"
+#include "runner/atomic_file.hh"
 #include "runner/engine.hh"
 #include "runner/fault.hh"
 #include "runner/gtrj.hh"
@@ -472,23 +472,13 @@ parseMain(int argc, char **argv)
     if (inputPath.empty())
         usageError("parse needs an input .gtrj file");
 
-    std::ifstream is(inputPath, std::ios::in | std::ios::binary);
-    if (!is) {
-        std::fprintf(stderr, "galsbench: cannot open '%s'\n",
-                     inputPath.c_str());
+    std::string in, out, err;
+    if (!readWholeFile(inputPath, in, err)) {
+        std::fprintf(stderr, "galsbench: %s\n", err.c_str());
         return 1;
     }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (is.bad()) {
-        std::fprintf(stderr, "galsbench: error reading '%s'\n",
-                     inputPath.c_str());
-        return 1;
-    }
-
-    std::string out, err;
-    const bool ok = csv ? gtrj::toCsv(buf.str(), out, err)
-                        : gtrj::toJsonLines(buf.str(), out, err);
+    const bool ok = csv ? gtrj::toCsv(in, out, err)
+                        : gtrj::toJsonLines(in, out, err);
     if (!ok) {
         std::fprintf(stderr, "galsbench: parse: %s: %s\n",
                      inputPath.c_str(), err.c_str());
@@ -840,23 +830,14 @@ main(int argc, char **argv)
             const std::vector<RunConfig> shardRuns =
                 selectRuns(runs, indices);
             if (sink) {
-                if (sink->format() != TrajectoryFormat::csv) {
-                    // Stream + flush record by record (JSON lines or
-                    // gtrj frames — both are self-delimiting): this
-                    // is what lets `galsbench dispatch` lose at most
-                    // one record to a killed worker.
-                    const std::size_t skip =
-                        std::min<std::uint64_t>(skipLeft,
-                                                shardRuns.size());
-                    skipLeft -= skip;
-                    runSliceStreamed(engine, *sink, scenario->name,
-                                     shardRuns, indices, skip);
-                } else {
-                    const std::vector<RunResults> results =
-                        engine.run(shardRuns);
-                    sink->append(scenario->name, shardRuns, results,
-                                 &indices);
-                }
+                // Stream + flush record by record: this is what lets
+                // `galsbench dispatch` lose at most one record to a
+                // killed worker.
+                const std::size_t skip =
+                    std::min<std::uint64_t>(skipLeft, shardRuns.size());
+                skipLeft -= skip;
+                runSliceStreamed(engine, *sink, scenario->name,
+                                 shardRuns, indices, skip);
                 std::fprintf(stderr,
                              "galsbench: %s: shard %u/%u ran %zu of "
                              "%zu runs\n",

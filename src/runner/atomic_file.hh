@@ -1,6 +1,7 @@
 /**
  * @file
- * Crash-safe whole-file writes: temp file + atomic rename.
+ * Crash-safe whole-file writes (temp file + atomic rename), and the
+ * matching whole-file read.
  *
  * A manifest or status file written with a plain ofstream can be
  * left half-written by a crash (or a full disk) and then misparse in
@@ -36,6 +37,14 @@ std::string atomicTempPath(const std::string &path);
  */
 bool atomicWriteFile(const std::string &path,
                      const std::string &contents, std::string &err);
+
+/**
+ * Read all of @p path into @p out.
+ * @param err on failure: "cannot open '<path>' for reading" or
+ *     "error reading '<path>'".
+ */
+bool readWholeFile(const std::string &path, std::string &out,
+                   std::string &err);
 
 } // namespace gals::runner
 

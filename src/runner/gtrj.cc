@@ -391,20 +391,6 @@ decodePayload(std::string_view payload, DecodedRecord &out,
     return true;
 }
 
-std::size_t
-countFrames(std::string_view buf)
-{
-    std::size_t pos = 0;
-    std::string err;
-    if (!readHeader(buf, pos, err))
-        return 0;
-    std::size_t n = 0;
-    std::string_view payload;
-    while (nextFrame(buf, pos, payload, err) == FrameStatus::ok)
-        ++n;
-    return n;
-}
-
 namespace
 {
 

@@ -119,11 +119,6 @@ FrameStatus nextFrame(std::string_view buf, std::size_t &pos,
 bool decodePayload(std::string_view payload, DecodedRecord &out,
                    std::string &err);
 
-/** Complete frames at the start of @p buf (header included), walking
- *  length prefixes only; a torn tail or bad header just ends the
- *  count. Used for cheap progress reporting. */
-std::size_t countFrames(std::string_view buf);
-
 /**
  * Convert a whole gtrj buffer to JSON-lines text, byte-identical to
  * the writeJsonLines() output of a native run of the same records;

@@ -23,24 +23,6 @@ namespace gals::runner
 namespace
 {
 
-bool
-readFile(const std::string &path, std::string &out, std::string &err)
-{
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    if (!is) {
-        err = "cannot open '" + path + "' for reading";
-        return false;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (is.bad()) {
-        err = "error reading '" + path + "'";
-        return false;
-    }
-    out = buf.str();
-    return true;
-}
-
 /** Split on '\n', dropping the trailing empty piece of a final
  *  newline (every line of our formats is newline-terminated). */
 std::vector<std::string>
@@ -66,109 +48,6 @@ struct Record
     std::uint64_t index = 0;
     std::string line; ///< the raw record bytes (no newline)
 };
-
-/** Extract scenario + index + instruction budget from one
- *  JSON-lines record. */
-bool
-jsonRecordKey(const std::string &line, std::string &scenario,
-              std::uint64_t &index, std::uint64_t &instructions,
-              std::string &err)
-{
-    json::Value v;
-    if (!json::parse(line, v, err))
-        return false;
-    const json::Value *s = v.find("scenario");
-    const json::Value *i = v.find("index");
-    const json::Value *insts = v.find("instructions");
-    if (!s || s->kind != json::Value::Kind::string || !i ||
-        !i->asU64(index) || !insts || !insts->asU64(instructions)) {
-        err = "record lacks string 'scenario' / integral 'index' / "
-              "'instructions'";
-        return false;
-    }
-    scenario = s->str;
-    return true;
-}
-
-/** Read one RFC-4180 field starting at @p pos; advances past the
- *  field and its trailing comma (if any). */
-bool
-csvFieldAt(const std::string &line, std::size_t &pos,
-           std::string &out, std::string &err)
-{
-    out.clear();
-    if (pos < line.size() && line[pos] == '"') {
-        ++pos;
-        for (;;) {
-            if (pos >= line.size()) {
-                err = "unterminated quoted CSV field";
-                return false;
-            }
-            if (line[pos] == '"') {
-                if (pos + 1 < line.size() && line[pos + 1] == '"') {
-                    out += '"';
-                    pos += 2;
-                    continue;
-                }
-                ++pos;
-                break;
-            }
-            out += line[pos++];
-        }
-    } else {
-        while (pos < line.size() && line[pos] != ',')
-            out += line[pos++];
-    }
-    if (pos < line.size()) {
-        if (line[pos] != ',') {
-            err = "malformed CSV field boundary";
-            return false;
-        }
-        ++pos;
-    }
-    return true;
-}
-
-bool
-csvU64(const std::string &text, std::uint64_t &out)
-{
-    // strtoull silently wraps negatives ("-1" -> 2^64-1); our
-    // writers emit bare digits, so accept exactly that.
-    if (text.empty() ||
-        text.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return errno != ERANGE && *end == '\0';
-}
-
-/** Extract scenario + index + instruction budget (columns 1, 2 and
- *  6 of the fixed reporter layout) from one CSV row. */
-bool
-csvRecordKey(const std::string &line, std::string &scenario,
-             std::uint64_t &index, std::uint64_t &instructions,
-             std::string &err)
-{
-    std::size_t pos = 0;
-    std::string idx, skip, insts;
-    if (!csvFieldAt(line, pos, scenario, err) ||
-        !csvFieldAt(line, pos, idx, err) ||
-        !csvFieldAt(line, pos, skip, err) || // benchmark
-        !csvFieldAt(line, pos, skip, err) || // gals
-        !csvFieldAt(line, pos, skip, err) || // dynamic_dvfs
-        !csvFieldAt(line, pos, insts, err))
-        return false;
-    if (!csvU64(idx, index)) {
-        err = "bad index column '" + idx + "'";
-        return false;
-    }
-    if (!csvU64(insts, instructions)) {
-        err = "bad instructions column '" + insts + "'";
-        return false;
-    }
-    return true;
-}
 
 /**
  * Merge the per-file scenario orders into one canonical order. Each
@@ -238,7 +117,7 @@ readManifest(const std::string &path, ParsedManifest &out,
              std::string &err)
 {
     std::string text;
-    if (!readFile(path, text, err))
+    if (!readWholeFile(path, text, err))
         return false;
     json::Value v;
     if (!json::parse(text, v, err)) {
@@ -357,7 +236,7 @@ mergeTrajectories(const std::vector<std::string> &shardFiles,
     // Instruction budget per scenario, for cross-file sweep
     // consistency.
     std::map<std::string, std::uint64_t> instsByScenario;
-    std::string header; // CSV only
+    std::string header; // the first input's CSV or gtrj header
 
     for (const std::string &path : shardFiles) {
         if (trajectoryFormatForPath(path) != format) {
@@ -367,141 +246,81 @@ mergeTrajectories(const std::vector<std::string> &shardFiles,
             return false;
         }
         std::string text;
-        if (!readFile(path, text, err)) {
+        if (!readWholeFile(path, text, err)) {
             diag << "merge: " << err << "\n";
             return false;
         }
-        scenarioSeqs.emplace_back();
-        indexSeqs.emplace_back();
-        std::vector<std::string> &seq = scenarioSeqs.back();
+        TrajectoryReader reader(text, format);
+        if (!reader.header().empty()) {
+            // Every shard with a record writes the same header;
+            // keep the first, insist the rest match.
+            if (header.empty())
+                header = reader.header();
+            else if (reader.header() != header) {
+                diag << "merge: '" << path
+                     << "' has a different header\n";
+                return false;
+            }
+        }
+        std::vector<std::string> &seq = scenarioSeqs.emplace_back();
         std::vector<std::vector<std::uint64_t>> &idx =
-            indexSeqs.back();
-
-        // Per-record admission shared by every format: cross-file
-        // instruction consistency, per-file scenario contiguity and
-        // strictly-ascending indices. @p where names the record
-        // ("file:line" / "file record N") for diagnostics.
-        const auto admit = [&](Record &&rec,
-                               std::uint64_t instructions,
-                               const std::string &where) -> bool {
+            indexSeqs.emplace_back();
+        TrajectoryRecord tr;
+        for (std::size_t recNo = 1;; ++recNo) {
+            const TrajectoryReader::Status st = reader.next(tr);
+            if (st == TrajectoryReader::Status::eof)
+                break;
+            const std::string where =
+                path + " record " + std::to_string(recNo);
+            // Torn tails are the orchestrator's business (resume
+            // salvage); merge inputs are finished slices and must be
+            // intact.
+            if (st != TrajectoryReader::Status::ok) {
+                diag << "merge: " << where << ": " << reader.error()
+                     << "\n";
+                return false;
+            }
+            if (!tr.instructions) {
+                diag << "merge: " << where
+                     << ": record lacks an integral 'instructions'\n";
+                return false;
+            }
             // Shards of one sweep share one instruction budget per
             // scenario; a disagreement means the inputs come from
             // different sweeps and must not fuse.
-            const auto [it, inserted] = instsByScenario.emplace(
-                rec.scenario, instructions);
-            if (!inserted && it->second != instructions) {
+            const auto [it, inserted] =
+                instsByScenario.emplace(tr.scenario, *tr.instructions);
+            if (!inserted && it->second != *tr.instructions) {
                 diag << "merge: " << where << ": scenario '"
-                     << rec.scenario
+                     << tr.scenario
                      << "' records disagree on instructions ("
-                     << it->second << " vs " << instructions
+                     << it->second << " vs " << *tr.instructions
                      << ") — shard files from different sweeps?\n";
                 return false;
             }
-            if (seq.empty() || seq.back() != rec.scenario) {
+            if (seq.empty() || seq.back() != tr.scenario) {
                 // A scenario's records are contiguous per file; a
                 // reappearance means the file is not a shard
                 // trajectory.
-                if (std::find(seq.begin(), seq.end(),
-                              rec.scenario) != seq.end()) {
+                if (std::find(seq.begin(), seq.end(), tr.scenario) !=
+                    seq.end()) {
                     diag << "merge: " << where << ": scenario '"
-                         << rec.scenario
+                         << tr.scenario
                          << "' records are not contiguous\n";
                     return false;
                 }
-                seq.push_back(rec.scenario);
+                seq.push_back(tr.scenario);
                 idx.emplace_back();
             }
-            if (!idx.back().empty() &&
-                idx.back().back() >= rec.index) {
+            if (!idx.back().empty() && idx.back().back() >= tr.index) {
                 diag << "merge: " << where
                      << ": indices not strictly ascending (not a "
                         "shard trajectory?)\n";
                 return false;
             }
-            idx.back().push_back(rec.index);
-            records.push_back(std::move(rec));
-            return true;
-        };
-
-        if (format == TrajectoryFormat::gtrj) {
-            // Binary shard: walk the frames, keeping each record's
-            // raw bytes (length prefix + payload) so the merge
-            // re-emits them untouched — frames are stateless, so the
-            // merged file equals the unsharded run's byte-for-byte.
-            std::size_t pos = 0;
-            if (!gtrj::readHeader(text, pos, err)) {
-                diag << "merge: " << path << ": " << err << "\n";
-                return false;
-            }
-            std::size_t recNo = 0;
-            for (;;) {
-                const std::size_t frameStart = pos;
-                std::string_view payload;
-                const gtrj::FrameStatus st =
-                    gtrj::nextFrame(text, pos, payload, err);
-                if (st == gtrj::FrameStatus::eof)
-                    break;
-                if (st == gtrj::FrameStatus::torn) {
-                    // Torn tails are the orchestrator's business
-                    // (resume salvage); merge inputs are finished
-                    // slices and must be intact.
-                    diag << "merge: " << path << ": " << err
-                         << "\n";
-                    return false;
-                }
-                ++recNo;
-                gtrj::DecodedRecord dec;
-                if (!gtrj::decodePayload(payload, dec, err)) {
-                    diag << "merge: " << path << " record " << recNo
-                         << ": " << err << "\n";
-                    return false;
-                }
-                Record rec;
-                rec.scenario = dec.scenario;
-                rec.index = dec.index;
-                rec.line =
-                    text.substr(frameStart, pos - frameStart);
-                if (!admit(std::move(rec), dec.cfg.instructions,
-                           path + " record " +
-                               std::to_string(recNo)))
-                    return false;
-            }
-            continue;
-        }
-
-        std::vector<std::string> lines = splitLines(text);
-        std::size_t lineNo = 0;
-        for (std::string &line : lines) {
-            ++lineNo;
-            if (format == TrajectoryFormat::csv && lineNo == 1) {
-                // The header row. Every non-empty shard writes the
-                // same one; keep the first, insist the rest match.
-                if (header.empty())
-                    header = line;
-                else if (line != header) {
-                    diag << "merge: '" << path
-                         << "' has a different CSV header\n";
-                    return false;
-                }
-                continue;
-            }
-            Record rec;
-            std::uint64_t instructions = 0;
-            const bool ok =
-                format == TrajectoryFormat::jsonLines
-                    ? jsonRecordKey(line, rec.scenario, rec.index,
-                                    instructions, err)
-                    : csvRecordKey(line, rec.scenario, rec.index,
-                                   instructions, err);
-            if (!ok) {
-                diag << "merge: " << path << ":" << lineNo << ": "
-                     << err << "\n";
-                return false;
-            }
-            rec.line = std::move(line);
-            if (!admit(std::move(rec), instructions,
-                       path + ":" + std::to_string(lineNo)))
-                return false;
+            idx.back().push_back(tr.index);
+            records.push_back(
+                {tr.scenario, 0, tr.index, std::string(tr.raw)});
         }
     }
 
@@ -646,20 +465,14 @@ mergeTrajectories(const std::vector<std::string> &shardFiles,
              << "' for writing\n";
         return false;
     }
-    if (format == TrajectoryFormat::gtrj) {
-        // Raw frames, no separators: the header then each record's
-        // own frame bytes, byte-equal to an unsharded sink.
-        const std::string &h = gtrj::fileHeader();
-        os.write(h.data(), static_cast<std::streamsize>(h.size()));
-        for (const Record &rec : records)
-            os.write(rec.line.data(),
-                     static_cast<std::streamsize>(rec.line.size()));
-    } else {
-        if (format == TrajectoryFormat::csv && !header.empty())
-            os << header << "\n";
-        for (const Record &rec : records)
-            os << rec.line << "\n";
-    }
+    // Records go back out as the reader found them: the header, then
+    // each record's raw bytes (frames are self-delimiting, lines get
+    // their '\n' back), byte-equal to an unsharded sink.
+    const char *eol = format == TrajectoryFormat::gtrj ? "" : "\n";
+    if (!header.empty())
+        os << header << eol;
+    for (const Record &rec : records)
+        os << rec.line << eol;
     os.flush();
     if (!os) {
         // A truncated file would pass for a canonical trajectory in
@@ -830,7 +643,7 @@ verifyManifest(const ScenarioRegistry &registry,
         }
     }
     std::string archived;
-    if (!readFile(archivePath, archived, err)) {
+    if (!readWholeFile(archivePath, archived, err)) {
         diag << "verify: " << err << "\n";
         return false;
     }
@@ -879,21 +692,12 @@ verifyManifest(const ScenarioRegistry &registry,
     }
     sink.close();
 
-    // The CSV header row is not a record; keep the diagnostics'
-    // record counts and indices honest about it.
-    const std::size_t headerLines =
-        format == TrajectoryFormat::csv ? 1 : 0;
-    const auto recordCount = [&](std::size_t lines) {
-        return lines > headerLines ? lines - headerLines : 0;
-    };
-
     const std::string &expected = archived;
     const std::string actual = regen.str();
+    const std::size_t actRecords =
+        countTrajectoryRecords(actual, format);
     if (expected == actual) {
-        diag << "verify: OK — '" << archivePath << "' ("
-             << (format == TrajectoryFormat::gtrj
-                     ? gtrj::countFrames(actual)
-                     : recordCount(splitLines(actual).size()))
+        diag << "verify: OK — '" << archivePath << "' (" << actRecords
              << " records, " << actual.size()
              << " bytes) is byte-identical to the replay\n";
         return true;
@@ -901,6 +705,13 @@ verifyManifest(const ScenarioRegistry &registry,
 
     diag << "verify: FAILED — regenerated trajectory differs from '"
          << archivePath << "'\n";
+    // The archive's count is its readable prefix: a record mangled
+    // part-way through ends it.
+    const std::size_t expRecords =
+        countTrajectoryRecords(expected, format);
+    if (expRecords != actRecords)
+        diag << "verify:   archived reads " << expRecords
+             << " records, replay has " << actRecords << "\n";
 
     // Line diffs over binary frames locate nothing a human can read;
     // render both sides as JSON lines first. If either side does not
@@ -915,11 +726,8 @@ verifyManifest(const ScenarioRegistry &registry,
                 std::min(expected.size(), actual.size());
             while (off < lim && expected[off] == actual[off])
                 ++off;
-            diag << "verify:   archived "
-                 << gtrj::countFrames(expected) << " frames / "
-                 << expected.size() << " bytes, replay "
-                 << gtrj::countFrames(actual) << " frames / "
-                 << actual.size()
+            diag << "verify:   archived " << expected.size()
+                 << " bytes, replay " << actual.size()
                  << " bytes; first differing byte at offset " << off
                  << " (" << derr << ")\n";
             return false;
@@ -928,12 +736,12 @@ verifyManifest(const ScenarioRegistry &registry,
         actText.swap(a2);
     }
 
+    // The CSV header row is not a record; keep the diff's record
+    // indices honest about it.
+    const std::size_t headerLines =
+        format == TrajectoryFormat::csv ? 1 : 0;
     const std::vector<std::string> expLines = splitLines(expText);
     const std::vector<std::string> actLines = splitLines(actText);
-    if (expLines.size() != actLines.size())
-        diag << "verify:   archived has "
-             << recordCount(expLines.size()) << " records, replay has "
-             << recordCount(actLines.size()) << "\n";
     const std::size_t n =
         std::max(expLines.size(), actLines.size());
     std::size_t shown = 0, differing = 0;

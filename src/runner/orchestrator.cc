@@ -16,8 +16,6 @@
 #include <unistd.h>
 
 #include "runner/atomic_file.hh"
-#include "runner/gtrj.hh"
-#include "runner/json.hh"
 #include "runner/merge.hh"
 #include "runner/reporter.hh"
 #include "runner/sweep_axes.hh"
@@ -173,72 +171,6 @@ DispatchTracker::allDone() const
 // ---------------------------------------------------------------------------
 // Slice-file scanning
 
-namespace
-{
-
-/** The gtrj arm of scanSliceRecords(): the valid prefix is the file
- *  header plus the run of complete frames that decode and match the
- *  expectation, so a resumed worker's append continues mid-file
- *  exactly where truncate(2) cut. A torn or missing header salvages
- *  nothing (validBytes 0 — the reopened sink writes a fresh one). */
-bool
-scanGtrjSliceRecords(const std::string &path,
-                     const std::vector<SliceExpectation> &expected,
-                     SliceScan &out, std::string &err,
-                     std::vector<RecordStat> *stats)
-{
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    if (!is) {
-        // A never-written slice scans as an empty valid prefix.
-        return true;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (is.bad()) {
-        err = "error reading '" + path + "'";
-        return false;
-    }
-    const std::string text = buf.str();
-
-    std::size_t pos = 0;
-    std::string herr;
-    if (gtrj::readHeader(text, pos, herr)) {
-        out.validBytes = pos;
-        for (std::size_t k = 0; k < expected.size(); ++k) {
-            std::string_view payload;
-            std::string ferr;
-            const gtrj::FrameStatus st =
-                gtrj::nextFrame(text, pos, payload, ferr);
-            if (st == gtrj::FrameStatus::eof)
-                break;
-            if (st == gtrj::FrameStatus::torn) {
-                out.trimmedTail = true;
-                break;
-            }
-            gtrj::DecodedRecord dec;
-            if (!gtrj::decodePayload(payload, dec, ferr) ||
-                dec.scenario != expected[k].scenario ||
-                dec.index != expected[k].index) {
-                // Corrupted or foreign record: everything from here
-                // on is untrustworthy.
-                out.trimmedTail = true;
-                break;
-            }
-            if (stats)
-                stats->push_back(
-                    {dec.results.benchmark, dec.results.timeSec});
-            out.validRecords += 1;
-            out.validBytes = pos;
-        }
-    }
-
-    if (text.size() > out.validBytes)
-        out.trimmedTail = true;
-    return true;
-}
-
-} // namespace
-
 bool
 scanSliceRecords(const std::string &path,
                  const std::vector<SliceExpectation> &expected,
@@ -246,68 +178,30 @@ scanSliceRecords(const std::string &path,
                  std::vector<RecordStat> *stats)
 {
     out = SliceScan{};
-    if (trajectoryFormatForPath(path) == TrajectoryFormat::gtrj)
-        return scanGtrjSliceRecords(path, expected, out, err,
-                                    stats);
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    if (!is) {
-        // A never-written slice scans as an empty valid prefix.
-        return true;
-    }
-
-    std::string line;
-    for (std::size_t k = 0; k < expected.size(); ++k) {
-        if (!std::getline(is, line)) {
-            if (is.bad()) {
-                err = "error reading '" + path + "'";
-                return false;
-            }
-            break; // clean EOF: prefix simply ends here
-        }
-        if (is.eof()) {
-            // getline hit EOF before a newline: a torn trailing
-            // record from a mid-write crash. Cut it off.
-            out.trimmedTail = true;
-            break;
-        }
-        json::Value v;
-        std::string perr;
-        std::uint64_t index = 0;
-        const json::Value *s = nullptr;
-        const json::Value *i = nullptr;
-        if (!json::parse(line, v, perr) ||
-            !(s = v.find("scenario")) || !(i = v.find("index")) ||
-            s->kind != json::Value::Kind::string ||
-            !i->asU64(index) || s->str != expected[k].scenario ||
-            index != expected[k].index) {
-            // Corrupted or foreign record: everything from here on is
-            // untrustworthy.
-            out.trimmedTail = true;
-            break;
-        }
-        if (stats) {
-            RecordStat stat;
-            if (const json::Value *b = v.find("benchmark"))
-                stat.benchmark = b->str;
-            if (const json::Value *t = v.find("time_sec"))
-                stat.timeSec = t->number;
-            stats->push_back(std::move(stat));
-        }
-        out.validRecords += 1;
-        out.validBytes += line.size() + 1;
-    }
-
-    if (is.bad()) {
-        err = "error reading '" + path + "'";
-        return false;
-    }
-
-    // Anything past the valid prefix — a torn line, extra records
-    // beyond the expectation — is tail to trim.
     std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    if (!ec && size > out.validBytes)
-        out.trimmedTail = true;
+    if (!std::filesystem::exists(path, ec))
+        return true; // a never-written slice is an empty valid prefix
+    std::string text;
+    if (!readWholeFile(path, text, err))
+        return false;
+
+    // The valid prefix: the file header and the leading records
+    // that read whole and carry their position's scenario and
+    // canonical index. Whatever follows — a torn or foreign record,
+    // records past the expectation — is tail to trim.
+    TrajectoryReader reader(text, trajectoryFormatForPath(path));
+    TrajectoryRecord rec;
+    out.validBytes = reader.validBytes();
+    while (out.validRecords < expected.size() &&
+           reader.next(rec) == TrajectoryReader::Status::ok &&
+           rec.scenario == expected[out.validRecords].scenario &&
+           rec.index == expected[out.validRecords].index) {
+        if (stats)
+            stats->push_back({rec.benchmark, rec.timeSec});
+        out.validRecords += 1;
+        out.validBytes = reader.validBytes();
+    }
+    out.trimmedTail = text.size() > out.validBytes;
     return true;
 }
 
@@ -374,40 +268,17 @@ struct BenchAgg
     double totalTimeSec = 0.0;
 };
 
-std::size_t
-countFileLines(const std::string &path)
-{
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    if (!is)
-        return 0;
-    std::size_t lines = 0;
-    char buf[65536];
-    while (is.read(buf, sizeof(buf)) || is.gcount() > 0) {
-        const std::streamsize got = is.gcount();
-        for (std::streamsize i = 0; i < got; ++i)
-            if (buf[i] == '\n')
-                ++lines;
-        if (got < static_cast<std::streamsize>(sizeof(buf)))
-            break;
-    }
-    return lines;
-}
-
-/** Records currently in a slice file, for progress snapshots: lines
- *  for the text formats, complete frames for gtrj (a torn tail just
- *  stops the count — progress may briefly read one low, never
- *  wrong). */
+/** Records currently in a slice file, for progress snapshots (a
+ *  torn tail just stops the count — progress may briefly read one
+ *  low, never wrong). */
 std::size_t
 countFileRecords(const std::string &path)
 {
-    if (trajectoryFormatForPath(path) != TrajectoryFormat::gtrj)
-        return countFileLines(path);
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    if (!is)
-        return 0;
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return gtrj::countFrames(buf.str());
+    std::string text, err;
+    return readWholeFile(path, text, err)
+               ? countTrajectoryRecords(text,
+                                        trajectoryFormatForPath(path))
+               : 0;
 }
 
 } // namespace

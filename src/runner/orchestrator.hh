@@ -199,11 +199,11 @@ struct SliceScan
 
 /**
  * Scan a (possibly partial, possibly crash-truncated) slice
- * trajectory at @p path against its expected record sequence. The
- * format follows the path's extension: the valid prefix is the run
- * of leading JSON lines (or, for `.gtrj`, the file header plus the
- * run of complete binary frames) that parse as records and match
- * @p expected position for position; anything after it — a torn
+ * trajectory at @p path against its expected record sequence,
+ * through TrajectoryReader (the format follows the path's
+ * extension): the valid prefix is the file header plus the leading
+ * records that read whole and match @p expected position for
+ * position; anything after it — a torn
  * trailing line or frame from a mid-write crash, a corrupted or
  * foreign record — is reported via trimmedTail so the caller can
  * truncate(2) to validBytes and resume from validRecords. A missing

@@ -470,6 +470,16 @@ SweepAxisParser::finish(const ScenarioRegistry &registry,
                                   "(scenario '" +
                            s->name + "' has one)";
     }
+    // Traffic is crossed with explicit --cores above; a scenario's
+    // own core counts meet it only here, before any sink truncates
+    // --output.
+    for (const Scenario *s : known)
+        for (const RunConfig &cfg :
+             expandReplicatedRuns(*s, opts_, nullptr)) {
+            const std::string err = cfg.fabric.validate();
+            if (!err.empty())
+                return "scenario '" + s->name + "': " + err;
+        }
     out = opts_;
     return "";
 }

@@ -28,7 +28,9 @@
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -110,13 +112,14 @@ class TrajectorySink
                 const std::vector<std::size_t> *indices = nullptr);
 
     /**
-     * Append ONE record and flush it to disk before returning
-     * (JSON-lines / gtrj). This is the crash-safety primitive behind
-     * `galsbench dispatch`: a worker streaming records through
-     * appendOne() in canonical order loses at most the one record
-     * being written when it is killed, and the surviving prefix is a
-     * valid record prefix (JSON lines / gtrj frames) the
-     * orchestrator's resume scan can keep.
+     * Append ONE record and flush it to disk before returning (a CSV
+     * sink writes its header with the first record, as append()
+     * does). This is the crash-safety primitive behind `galsbench
+     * dispatch`: a worker streaming records through appendOne() in
+     * canonical order loses at most the one record being written
+     * when it is killed, and the surviving prefix is a valid record
+     * prefix (JSON lines / gtrj frames) the orchestrator's resume
+     * scan can keep.
      * @param canonicalIndex the record's index in the unsharded grid.
      */
     void appendOne(const std::string &scenario, const RunConfig &cfg,
@@ -138,6 +141,82 @@ class TrajectorySink
     std::ostream *os_; ///< &file_, or the caller's stream
     bool wroteHeader_ = false;
 };
+
+/** One record read back by TrajectoryReader. */
+struct TrajectoryRecord
+{
+    /** The record's bytes inside the reader's buffer: a line without
+     *  its '\n', or a whole gtrj frame (length prefix included). */
+    std::string_view raw;
+    std::string scenario;
+    std::uint64_t index = 0;
+    /** The fields below are read where the record has them; every
+     *  record our writers emit has all three. */
+    std::optional<std::uint64_t> instructions;
+    std::string benchmark;
+    double timeSec = 0.0;
+};
+
+/**
+ * Reads a whole trajectory buffer back, record by record. This is the
+ * one place that knows how records are framed on disk and where their
+ * identity sits: a JSON-lines record is one line holding a JSON
+ * object, a CSV file is a header row and then one row per record
+ * (columns found by header name), and a gtrj file is the magic /
+ * version header and then one frame per record. Merge, the dispatch
+ * resume scan, dispatch progress and `--verify` all read through it.
+ */
+class TrajectoryReader
+{
+  public:
+    enum class Status
+    {
+        ok,   ///< a record: scenario and index are always present
+        eof,  ///< the buffer ends exactly after the last record
+        torn, ///< trailing bytes that are not a whole record
+        bad,  ///< a whole record (or header) that does not parse
+    };
+
+    /** Reads the CSV header row or the gtrj header now; a torn or
+     *  bad header is what the first next() returns. */
+    TrajectoryReader(std::string_view buf, TrajectoryFormat format);
+
+    /** The next record into @p rec. After anything but ok, every
+     *  later call returns the same status. An unterminated final
+     *  line is torn, whatever it holds. */
+    Status next(TrajectoryRecord &rec);
+
+    /** The CSV header row (without '\n') or the gtrj file header;
+     *  empty for JSON lines, an empty CSV file or a failed header. */
+    std::string_view header() const { return header_; }
+
+    /** Offset just past the header and the last ok record. */
+    std::size_t validBytes() const { return valid_; }
+
+    /** Why the last next() returned torn or bad. */
+    const std::string &error() const { return err_; }
+
+  private:
+    Status fail(Status st, std::string err);
+    bool readCsvRow(std::string_view line, TrajectoryRecord &rec);
+
+    std::string_view buf_;
+    TrajectoryFormat format_;
+    std::size_t valid_ = 0;
+    std::string_view header_;
+    std::optional<Status> stuck_; ///< the status every next() repeats
+    std::string err_;
+    /** CSV column of each record field, or none. */
+    static constexpr std::size_t none = std::string_view::npos;
+    std::size_t scenarioCol_ = none, indexCol_ = none,
+                benchmarkCol_ = none, instructionsCol_ = none,
+                timeSecCol_ = none, columns_ = 0;
+};
+
+/** The leading ok records of @p buf: the record count of a file the
+ *  writers finished, and of a live one up to its torn tail. */
+std::size_t countTrajectoryRecords(std::string_view buf,
+                                   TrajectoryFormat format);
 
 /** One executed scenario as recorded in a manifest. */
 struct ManifestScenario

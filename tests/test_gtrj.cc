@@ -389,8 +389,8 @@ TEST(GtrjFrames, DetectsCleanEofAndTornTail)
               gtrj::FrameStatus::torn);
     EXPECT_EQ(pos, afterFirst); // pos is not advanced past a torn tail
 
-    EXPECT_EQ(gtrj::countFrames(whole), 2u);
-    EXPECT_EQ(gtrj::countFrames(torn), 1u);
+    EXPECT_EQ(countTrajectoryRecords(whole, TrajectoryFormat::gtrj), 2u);
+    EXPECT_EQ(countTrajectoryRecords(torn, TrajectoryFormat::gtrj), 1u);
 }
 
 // ---------------------------------------------------------------

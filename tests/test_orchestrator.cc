@@ -228,83 +228,6 @@ fakeRecord(const std::string &scenario, std::uint64_t index,
            "\",\"time_sec\":0.5}\n";
 }
 
-TEST(SliceScan, MissingFileIsAnEmptyPrefix)
-{
-    SliceScan scan;
-    std::string err;
-    ASSERT_TRUE(scanSliceRecords(tempPath("scan_missing.jsonl"),
-                                 expectations("s", {0, 3}), scan,
-                                 err));
-    EXPECT_EQ(scan.validRecords, 0u);
-    EXPECT_EQ(scan.validBytes, 0u);
-    EXPECT_FALSE(scan.trimmedTail);
-}
-
-TEST(SliceScan, FullFileMatchesWithoutTrim)
-{
-    const std::string path = tempPath("scan_full.jsonl");
-    spit(path, fakeRecord("s", 0) + fakeRecord("s", 3, "fpppp"));
-    SliceScan scan;
-    std::string err;
-    std::vector<RecordStat> stats;
-    ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3}),
-                                 scan, err, &stats));
-    EXPECT_EQ(scan.validRecords, 2u);
-    EXPECT_EQ(scan.validBytes, slurp(path).size());
-    EXPECT_FALSE(scan.trimmedTail);
-    ASSERT_EQ(stats.size(), 2u);
-    EXPECT_EQ(stats[0].benchmark, "adpcm");
-    EXPECT_EQ(stats[1].benchmark, "fpppp");
-    EXPECT_DOUBLE_EQ(stats[1].timeSec, 0.5);
-}
-
-TEST(SliceScan, TornTrailingLineIsTrimmed)
-{
-    const std::string path = tempPath("scan_torn.jsonl");
-    const std::string first = fakeRecord("s", 0);
-    // A crash mid-write: the second record lost its tail (and its
-    // newline).
-    spit(path, first + "{\"scenario\":\"s\",\"index\":3,\"ben");
-    SliceScan scan;
-    std::string err;
-    ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3}),
-                                 scan, err));
-    EXPECT_EQ(scan.validRecords, 1u);
-    EXPECT_EQ(scan.validBytes, first.size());
-    EXPECT_TRUE(scan.trimmedTail);
-}
-
-TEST(SliceScan, MismatchedRecordEndsThePrefix)
-{
-    const std::string path = tempPath("scan_mismatch.jsonl");
-    // Second record carries the wrong canonical index.
-    spit(path, fakeRecord("s", 0) + fakeRecord("s", 7) +
-                   fakeRecord("s", 5));
-    SliceScan scan;
-    std::string err;
-    ASSERT_TRUE(scanSliceRecords(path,
-                                 expectations("s", {0, 3, 5}), scan,
-                                 err));
-    EXPECT_EQ(scan.validRecords, 1u);
-    EXPECT_EQ(scan.validBytes, fakeRecord("s", 0).size());
-    EXPECT_TRUE(scan.trimmedTail);
-}
-
-TEST(SliceScan, ExtraRecordsPastTheExpectationAreTail)
-{
-    const std::string path = tempPath("scan_extra.jsonl");
-    spit(path, fakeRecord("s", 0) + fakeRecord("s", 3) +
-                   fakeRecord("s", 9));
-    SliceScan scan;
-    std::string err;
-    ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3}),
-                                 scan, err));
-    EXPECT_EQ(scan.validRecords, 2u);
-    EXPECT_TRUE(scan.trimmedTail);
-}
-
-// ----------------------------------------------------- gtrj slice scan
-
 /** One encoded gtrj frame with just enough record identity for the
  *  scan: scenario, canonical index, benchmark, time_sec. */
 std::string
@@ -324,40 +247,116 @@ fakeGtrjFrame(const std::string &scenario, std::uint64_t index,
     return gtrj::encodeRecord(scenario, index, cfg, r);
 }
 
-TEST(SliceScan, GtrjFullFileMatchesWithoutTrim)
+/** One slice-file format of the table-driven scan tests: the path
+ *  suffix, the bytes ahead of the first record, and one record. */
+struct ScanFormat
 {
-    const std::string path = tempPath("scan_full.gtrj");
-    spit(path, gtrj::fileHeader() + fakeGtrjFrame("s", 0) +
-                   fakeGtrjFrame("s", 3, "fpppp"));
-    SliceScan scan;
-    std::string err;
-    std::vector<RecordStat> stats;
-    ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3}),
-                                 scan, err, &stats));
-    EXPECT_EQ(scan.validRecords, 2u);
-    EXPECT_EQ(scan.validBytes, slurp(path).size());
-    EXPECT_FALSE(scan.trimmedTail);
-    ASSERT_EQ(stats.size(), 2u);
-    EXPECT_EQ(stats[0].benchmark, "adpcm");
-    EXPECT_EQ(stats[1].benchmark, "fpppp");
-    EXPECT_DOUBLE_EQ(stats[1].timeSec, 0.5);
+    const char *ext;
+    std::string header;
+    std::string (*record)(const std::string &scenario,
+                          std::uint64_t index,
+                          const std::string &benchmark);
+};
+
+std::vector<ScanFormat>
+scanFormats()
+{
+    return {{".jsonl", "", fakeRecord},
+            {".gtrj", gtrj::fileHeader(), fakeGtrjFrame}};
 }
 
-TEST(SliceScan, GtrjTornTrailingFrameIsTrimmed)
+TEST(SliceScan, MissingFileIsAnEmptyPrefix)
 {
-    const std::string path = tempPath("scan_torn.gtrj");
-    const std::string keep =
-        gtrj::fileHeader() + fakeGtrjFrame("s", 0);
-    const std::string second = fakeGtrjFrame("s", 3);
-    // A SIGKILL mid-write: the second frame lost its tail.
-    spit(path, keep + second.substr(0, second.size() / 2));
-    SliceScan scan;
-    std::string err;
-    ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3}),
-                                 scan, err));
-    EXPECT_EQ(scan.validRecords, 1u);
-    EXPECT_EQ(scan.validBytes, keep.size());
-    EXPECT_TRUE(scan.trimmedTail);
+    for (const ScanFormat &f : scanFormats()) {
+        SCOPED_TRACE(f.ext);
+        SliceScan scan;
+        std::string err;
+        ASSERT_TRUE(scanSliceRecords(tempPath("scan_missing") + f.ext,
+                                     expectations("s", {0, 3}), scan,
+                                     err));
+        EXPECT_EQ(scan.validRecords, 0u);
+        EXPECT_EQ(scan.validBytes, 0u);
+        EXPECT_FALSE(scan.trimmedTail);
+    }
+}
+
+TEST(SliceScan, FullFileMatchesWithoutTrim)
+{
+    for (const ScanFormat &f : scanFormats()) {
+        SCOPED_TRACE(f.ext);
+        const std::string path = tempPath("scan_full") + f.ext;
+        spit(path, f.header + f.record("s", 0, "adpcm") +
+                       f.record("s", 3, "fpppp"));
+        SliceScan scan;
+        std::string err;
+        std::vector<RecordStat> stats;
+        ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3}),
+                                     scan, err, &stats));
+        EXPECT_EQ(scan.validRecords, 2u);
+        EXPECT_EQ(scan.validBytes, slurp(path).size());
+        EXPECT_FALSE(scan.trimmedTail);
+        ASSERT_EQ(stats.size(), 2u);
+        EXPECT_EQ(stats[0].benchmark, "adpcm");
+        EXPECT_EQ(stats[1].benchmark, "fpppp");
+        EXPECT_DOUBLE_EQ(stats[1].timeSec, 0.5);
+    }
+}
+
+TEST(SliceScan, TornTrailingRecordIsTrimmed)
+{
+    for (const ScanFormat &f : scanFormats()) {
+        SCOPED_TRACE(f.ext);
+        const std::string path = tempPath("scan_torn") + f.ext;
+        const std::string keep = f.header + f.record("s", 0, "adpcm");
+        const std::string second = f.record("s", 3, "adpcm");
+        // A SIGKILL mid-write: the second record lost its tail (and,
+        // for a line, its newline).
+        spit(path, keep + second.substr(0, second.size() / 2));
+        SliceScan scan;
+        std::string err;
+        ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3}),
+                                     scan, err));
+        EXPECT_EQ(scan.validRecords, 1u);
+        EXPECT_EQ(scan.validBytes, keep.size());
+        EXPECT_TRUE(scan.trimmedTail);
+    }
+}
+
+TEST(SliceScan, MismatchedRecordEndsThePrefix)
+{
+    for (const ScanFormat &f : scanFormats()) {
+        SCOPED_TRACE(f.ext);
+        const std::string path = tempPath("scan_mismatch") + f.ext;
+        const std::string keep = f.header + f.record("s", 0, "adpcm");
+        // The second record carries the wrong canonical index.
+        spit(path, keep + f.record("s", 7, "adpcm") +
+                       f.record("s", 5, "adpcm"));
+        SliceScan scan;
+        std::string err;
+        ASSERT_TRUE(scanSliceRecords(
+            path, expectations("s", {0, 3, 5}), scan, err));
+        EXPECT_EQ(scan.validRecords, 1u);
+        EXPECT_EQ(scan.validBytes, keep.size());
+        EXPECT_TRUE(scan.trimmedTail);
+    }
+}
+
+TEST(SliceScan, ExtraRecordsPastTheExpectationAreTail)
+{
+    for (const ScanFormat &f : scanFormats()) {
+        SCOPED_TRACE(f.ext);
+        const std::string path = tempPath("scan_extra") + f.ext;
+        const std::string keep = f.header + f.record("s", 0, "adpcm") +
+                                 f.record("s", 3, "adpcm");
+        spit(path, keep + f.record("s", 9, "adpcm"));
+        SliceScan scan;
+        std::string err;
+        ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3}),
+                                     scan, err));
+        EXPECT_EQ(scan.validRecords, 2u);
+        EXPECT_EQ(scan.validBytes, keep.size());
+        EXPECT_TRUE(scan.trimmedTail);
+    }
 }
 
 TEST(SliceScan, GtrjTornHeaderSalvagesNothing)
@@ -370,22 +369,6 @@ TEST(SliceScan, GtrjTornHeaderSalvagesNothing)
                                  err));
     EXPECT_EQ(scan.validRecords, 0u);
     EXPECT_EQ(scan.validBytes, 0u); // the reopened sink rewrites it
-    EXPECT_TRUE(scan.trimmedTail);
-}
-
-TEST(SliceScan, GtrjMismatchedFrameEndsThePrefix)
-{
-    const std::string path = tempPath("scan_mismatch.gtrj");
-    spit(path, gtrj::fileHeader() + fakeGtrjFrame("s", 0) +
-                   fakeGtrjFrame("s", 7) + fakeGtrjFrame("s", 5));
-    SliceScan scan;
-    std::string err;
-    ASSERT_TRUE(scanSliceRecords(path, expectations("s", {0, 3, 5}),
-                                 scan, err));
-    EXPECT_EQ(scan.validRecords, 1u);
-    EXPECT_EQ(scan.validBytes,
-              gtrj::fileHeader().size() +
-                  fakeGtrjFrame("s", 0).size());
     EXPECT_TRUE(scan.trimmedTail);
 }
 
@@ -1024,6 +1007,45 @@ TEST_F(Cli, DispatchRejectsFabricAxesNoSelectedScenarioReads)
               std::string::npos)
         << err;
     EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    EXPECT_FALSE(fs::exists(out + ".dispatch"));
+}
+
+TEST_F(Cli, SweepRejectsTrafficTheScenarioCoresCannotHonour)
+{
+    // fabric_smoke's own grid is 4 cores; --traffic is crossed with
+    // explicit --cores only, so a hotspot on core 9 used to pass the
+    // parser, truncate --output and then die building the fabric.
+    const std::string out = tempPath("cli_traffic_keep.jsonl");
+    const std::string kept = "{\"archived\":true}\n";
+    spit(out, kept);
+    std::string err;
+    EXPECT_EQ(runGalsbench("--scenario fabric_smoke --insts 1000 "
+                           "--traffic hotspot:9 --output " + out,
+                           err),
+              2);
+    EXPECT_NE(err.find("scenario 'fabric_smoke': traffic 'hotspot:9' "
+                       "references core 9"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    EXPECT_EQ(slurp(out), kept);
+}
+
+TEST_F(Cli, DispatchRejectsTrafficTheScenarioCoresCannotHonour)
+{
+    const std::string out = tempPath("cli_dispatch_traffic.jsonl");
+    const std::string kept = "{\"archived\":true}\n";
+    spit(out, kept);
+    fs::remove_all(out + ".dispatch");
+    std::string err;
+    EXPECT_EQ(runGalsbench("dispatch --scenario fabric_smoke --insts "
+                           "1000 --traffic hotspot:9 --output " + out,
+                           err),
+              2);
+    EXPECT_NE(err.find("references core 9"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    EXPECT_EQ(slurp(out), kept);
     EXPECT_FALSE(fs::exists(out + ".dispatch"));
 }
 

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "power/power_model.hh"
 #include "runner/json.hh"
 #include "runner/merge.hh"
 #include "runner/reporter.hh"
@@ -54,8 +55,9 @@ spit(const std::string &path, const std::string &text)
     ASSERT_TRUE(os.good()) << path;
 }
 
-/** A fabricated run: every field deterministic in @p i, including a
- *  couple of unit-energy columns so CSV headers are exercised. */
+/** A fabricated run: every field deterministic in @p i, including
+ *  the full power-model unit set (the gtrj encoder stores it
+ *  positionally; CSV headers name each unit). */
 RunResults
 fakeResult(std::size_t i)
 {
@@ -69,7 +71,9 @@ fakeResult(std::size_t i)
     r.ipcNominal = 0.5 + 0.01 * static_cast<double>(i);
     r.energyJ = 1e-5 + 1e-7 * static_cast<double>(i);
     r.avgPowerW = 20.0 - 0.1 * static_cast<double>(i);
-    r.unitEnergyNj = {{"icache", 10.5 + i}, {"rob", 3.25 * (i + 1)}};
+    for (unsigned u = 0; u < numUnits; ++u)
+        r.unitEnergyNj[unitName(static_cast<Unit>(u))] =
+            10.5 + static_cast<double>(i) + 0.25 * u;
     return r;
 }
 
@@ -229,59 +233,69 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_EQ(v.find("q")->str, "a\"b\\c");
 }
 
-TEST(Merge, JsonlShardsReassembleByteIdentical)
+TEST(Merge, ShardsReassembleByteIdenticalInEveryFormat)
 {
     // Two scenarios: one whose grid (2 runs) is smaller than the
-    // shard count, so one shard holds no record of it at all.
+    // 3-way shard count, so one shard holds no record of it at all.
     const std::vector<FakeGrid> grids = {FakeGrid("alpha", 7),
                                          FakeGrid("beta", 2)};
-    const std::string ref = tempPath("ref.jsonl");
-    writeUnsharded(ref, grids);
+    for (const char *ext : {".jsonl", ".csv", ".gtrj"})
+        for (unsigned count : {2u, 3u}) {
+            SCOPED_TRACE(std::string(ext) + " over " +
+                         std::to_string(count) + " shards");
+            const std::string ref = tempPath(std::string("ref") + ext);
+            writeUnsharded(ref, grids);
 
-    std::vector<std::string> shardFiles;
-    for (unsigned i = 1; i <= 3; ++i) {
-        const std::string path =
-            tempPath("s" + std::to_string(i) + ".jsonl");
-        writeShard(path, grids, ShardSpec{i, 3});
-        shardFiles.push_back(path);
-    }
+            std::vector<std::string> shardFiles;
+            for (unsigned i = 1; i <= count; ++i) {
+                const std::string path =
+                    tempPath("s" + std::to_string(i) + ext);
+                writeShard(path, grids, ShardSpec{i, count});
+                shardFiles.push_back(path);
+            }
 
-    const std::string merged = tempPath("merged.jsonl");
-    std::ostringstream diag;
-    ASSERT_TRUE(mergeTrajectories(shardFiles, merged, diag))
-        << diag.str();
-    EXPECT_EQ(slurp(merged), slurp(ref));
+            const std::string merged =
+                tempPath(std::string("merged") + ext);
+            std::ostringstream diag;
+            ASSERT_TRUE(mergeTrajectories(shardFiles, merged, diag))
+                << diag.str();
+            EXPECT_EQ(slurp(merged), slurp(ref));
 
-    // File order must not matter: shard files arrive in whatever
-    // order the CI fan-in downloaded them.
-    std::vector<std::string> reversed(shardFiles.rbegin(),
-                                      shardFiles.rend());
-    std::ostringstream diag2;
-    ASSERT_TRUE(mergeTrajectories(reversed, merged, diag2))
-        << diag2.str();
-    EXPECT_EQ(slurp(merged), slurp(ref));
+            // File order must not matter: shard files arrive in
+            // whatever order the CI fan-in downloaded them.
+            std::vector<std::string> reversed(shardFiles.rbegin(),
+                                              shardFiles.rend());
+            std::ostringstream diag2;
+            ASSERT_TRUE(mergeTrajectories(reversed, merged, diag2))
+                << diag2.str();
+            EXPECT_EQ(slurp(merged), slurp(ref));
+        }
 }
 
-TEST(Merge, CsvShardsReassembleByteIdentical)
+TEST(Merge, UnterminatedFinalJsonLineIsTorn)
 {
-    const std::vector<FakeGrid> grids = {FakeGrid("alpha", 5),
-                                         FakeGrid("beta", 3)};
-    const std::string ref = tempPath("ref.csv");
-    writeUnsharded(ref, grids);
-
+    // A shard whose last line lost its newline is what a killed
+    // writer leaves: the dispatch resume scan trims it, and merge
+    // refuses it rather than patching the newline back in.
+    const std::vector<FakeGrid> grids = {FakeGrid("alpha", 6)};
     std::vector<std::string> shardFiles;
     for (unsigned i = 1; i <= 2; ++i) {
         const std::string path =
-            tempPath("s" + std::to_string(i) + ".csv");
+            tempPath("torn" + std::to_string(i) + ".jsonl");
         writeShard(path, grids, ShardSpec{i, 2});
         shardFiles.push_back(path);
     }
+    std::string text = slurp(shardFiles[1]);
+    ASSERT_EQ(text.back(), '\n');
+    text.pop_back();
+    spit(shardFiles[1], text);
 
-    const std::string merged = tempPath("merged.csv");
     std::ostringstream diag;
-    ASSERT_TRUE(mergeTrajectories(shardFiles, merged, diag))
+    EXPECT_FALSE(mergeTrajectories(shardFiles,
+                                   tempPath("torn.merged.jsonl"), diag));
+    EXPECT_NE(diag.str().find("record 3: unterminated final line"),
+              std::string::npos)
         << diag.str();
-    EXPECT_EQ(slurp(merged), slurp(ref));
 }
 
 TEST(Merge, DetectsOverlapGapAndFormatMismatch)
