@@ -29,40 +29,26 @@
  * `--verify MANIFEST` re-runs an archived manifest and byte-compares
  * the regenerated trajectory against the archived one.
  *
- * Usage: see usage(). Both parsers (main() and dispatchMain()) take
- * the sweep-axis flags from runner/sweep_axes.hh and hand-parse only
- * their own per-invocation flags.
- *
- * `dispatch` is the crash-safe orchestration of a whole sweep: it
- * shards the grid, drives `galsbench --shard` worker subprocesses
- * with retry/backoff and straggler kills, streams records with
- * per-record flushing, and resumes an interrupted dispatch from the
- * surviving records (docs/ORCHESTRATION.md).
+ * Usage: see usage(). main() takes the sweep-axis flags from
+ * runner/sweep_axes.hh and hand-parses only its own per-invocation
+ * flags.
  */
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "bench/register_all.hh"
 #include "core/snapshot.hh"
 #include "runner/atomic_file.hh"
 #include "runner/engine.hh"
-#include "runner/fault.hh"
 #include "runner/gtrj.hh"
 #include "runner/merge.hh"
-#include "runner/orchestrator.hh"
 #include "runner/reporter.hh"
 #include "runner/scenario.hh"
 #include "runner/stats.hh"
@@ -96,17 +82,6 @@ usage(std::FILE *to, int exitCode)
         "       galsbench --verify MANIFEST [--jobs N]\n"
         "       galsbench parse INPUT.gtrj [--format json|csv]\n"
         "                 [--output PATH]\n"
-        "       galsbench dispatch (--scenario NAME)... | --all\n"
-        "                 --output PATH [--manifest PATH]\n"
-        "                 [--slices M] [--workers W] [--worker-jobs "
-        "N]\n"
-        "                 [--insts N ... --snapshot-dir PATH, as above]\n"
-        "                 [--retries N] [--backoff-ms N]\n"
-        "                 [--backoff-cap-ms N] [--straggler-factor "
-        "X]\n"
-        "                 [--min-deadline-ms N]\n"
-        "                 [--status-interval-ms N] [--fresh]\n"
-        "                 [--worker-binary PATH]\n"
         "\n"
         "  --list          list registered scenarios and exit\n"
         "                  (--format md emits the markdown catalog\n"
@@ -157,8 +132,8 @@ usage(std::FILE *to, int exitCode)
         "  --snapshot-dir PATH\n"
         "                  existing directory where warm snapshots\n"
         "                  are exchanged on disk, so separate\n"
-        "                  processes (--shard workers, dispatch)\n"
-        "                  share warmup stems; never affects the\n"
+        "                  processes (e.g. --shard runs) share\n"
+        "                  warmup stems; never affects the\n"
         "                  records, manifests or hashes\n"
         "  --manifest PATH write a run manifest (version, engine,\n"
         "                  seeds, shard, per-scenario config hashes)\n"
@@ -174,17 +149,7 @@ usage(std::FILE *to, int exitCode)
         "  parse INPUT     convert a .gtrj binary trajectory to the\n"
         "                  exact JSON-lines (default) or CSV bytes a\n"
         "                  native text run would have written, to\n"
-        "                  --output PATH or stdout\n"
-        "\n"
-        "dispatch runs the whole sweep as a crash-safe orchestration:\n"
-        "the grid is split into M slices, worker subprocesses execute\n"
-        "them (up to W at a time) with per-record flushing, failed\n"
-        "workers are retried with capped exponential backoff, hung\n"
-        "workers are killed past a deadline scaled from the median\n"
-        "slice time, and re-running the same dispatch resumes from\n"
-        "whatever records already survived (kill -9 loses at most one\n"
-        "record). Progress: <output>.dispatch/status.json. See\n"
-        "docs/ORCHESTRATION.md.\n");
+        "                  --output PATH or stdout\n");
     std::exit(exitCode);
 }
 
@@ -207,16 +172,8 @@ argValue(int argc, char **argv, int &i)
     return argv[++i];
 }
 
-std::uint64_t
-numericValue(const char *flag, const char *text)
-{
-    std::uint64_t v = 0;
-    usageError(parseU64(flag, text, v));
-    return v;
-}
-
-/** numericValue() additionally bounded to `unsigned` range, so
- *  --jobs / --slices cannot silently truncate through a cast. */
+/** A non-negative decimal bounded to `unsigned` range, so --jobs
+ *  and --shard cannot silently truncate through a cast. */
 unsigned
 unsignedValue(const char *flag, const char *text)
 {
@@ -283,150 +240,6 @@ checkOutputPath(const std::string &path)
     if (!trajectoryFormatForCliPath(path, format))
         usageError("--output expects a .jsonl, .json, .csv or .gtrj "
                    "path, got '" + path + "'");
-}
-
-/** Parse a positive decimal double (for --straggler-factor). */
-double
-doubleValue(const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE || v <= 0.0)
-        usageError(std::string(flag) + " expects a positive number, "
-                   "got '" + text + "'");
-    return v;
-}
-
-/** This binary's own path, for dispatch workers to exec. */
-std::string
-selfExePath()
-{
-    char buf[4096];
-    const ssize_t n =
-        ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        return "";
-    buf[n] = '\0';
-    return buf;
-}
-
-/**
- * `galsbench dispatch ...`: the crash-safe sweep orchestrator
- * (runner/orchestrator.hh). argv[1] is "dispatch"; everything after
- * it is parsed here — the run-mode flags keep their meaning, plus
- * the orchestration knobs.
- */
-int
-dispatchMain(int argc, char **argv, const ScenarioRegistry &registry)
-{
-    DispatchOptions opts;
-    opts.workerBinary = selfExePath();
-    SweepAxisParser axes;
-    bool runAll = false;
-
-    for (int i = 2; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (const auto err = axes.take(argc, argv, i)) {
-            usageError(*err);
-            continue;
-        }
-        if (!std::strcmp(arg, "--scenario")) {
-            opts.scenarios.push_back(argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--all")) {
-            runAll = true;
-        } else if (!std::strcmp(arg, "--output")) {
-            opts.outputPath = argValue(argc, argv, i);
-        } else if (!std::strcmp(arg, "--manifest")) {
-            opts.manifestPath = argValue(argc, argv, i);
-        } else if (!std::strcmp(arg, "--slices")) {
-            opts.slices =
-                unsignedValue("--slices", argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--workers")) {
-            opts.workers =
-                unsignedValue("--workers", argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--worker-jobs")) {
-            opts.workerJobs = unsignedValue("--worker-jobs",
-                                            argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--retries")) {
-            // N retries = N+1 attempts per slice.
-            opts.policy.maxAttempts =
-                unsignedValue("--retries", argValue(argc, argv, i)) +
-                1;
-        } else if (!std::strcmp(arg, "--backoff-ms")) {
-            opts.policy.backoffBaseMs = numericValue(
-                "--backoff-ms", argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--backoff-cap-ms")) {
-            opts.policy.backoffCapMs = numericValue(
-                "--backoff-cap-ms", argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--straggler-factor")) {
-            opts.policy.stragglerFactor = doubleValue(
-                "--straggler-factor", argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--min-deadline-ms")) {
-            opts.policy.minDeadlineMs = numericValue(
-                "--min-deadline-ms", argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--status-interval-ms")) {
-            opts.statusIntervalMs = numericValue(
-                "--status-interval-ms", argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--fresh")) {
-            opts.fresh = true;
-        } else if (!std::strcmp(arg, "--worker-binary")) {
-            opts.workerBinary = argValue(argc, argv, i);
-        } else if (!std::strcmp(arg, "--worker-arg")) {
-            // TEST-ONLY: forwarded verbatim to every worker launch.
-            opts.workerArgs.push_back(argValue(argc, argv, i));
-        } else if (!std::strcmp(arg, "--fault-first-attempt")) {
-            // TEST-ONLY: I:SPEC injects SPEC (exit-after=K /
-            // hang-after=K) into slice I's first attempt only, so
-            // the retry runs clean.
-            const std::string v = argValue(argc, argv, i);
-            const std::size_t colon = v.find(':');
-            FaultPlan plan;
-            std::string ferr;
-            if (colon == std::string::npos ||
-                !parseFaultSpec(v.substr(colon + 1), plan, ferr))
-                usageError("--fault-first-attempt expects "
-                           "SLICE:exit-after=K or SLICE:hang-after=K, "
-                           "got '" + v + "'");
-            const unsigned slice = unsignedValue(
-                "--fault-first-attempt",
-                v.substr(0, colon).c_str());
-            std::vector<std::string> &args =
-                opts.firstAttemptArgs[slice];
-            if (plan.exitAfter != FaultPlan::disabled) {
-                args.push_back("--fault-exit-after");
-                args.push_back(std::to_string(plan.exitAfter));
-            }
-            if (plan.hangAfter != FaultPlan::disabled) {
-                args.push_back("--fault-hang-after");
-                args.push_back(std::to_string(plan.hangAfter));
-            }
-        } else if (!std::strcmp(arg, "--help") ||
-                   !std::strcmp(arg, "-h")) {
-            usage(stdout, 0);
-        } else {
-            usageError(std::string("unknown dispatch argument '") + arg +
-                       "'");
-        }
-    }
-
-    if (runAll) {
-        opts.scenarios.clear();
-        for (const Scenario &s : registry.all())
-            opts.scenarios.push_back(s.name);
-    }
-    usageError(axes.finish(registry, opts.scenarios, opts.sweep));
-    if (opts.scenarios.empty())
-        usageError("dispatch needs --scenario/--all");
-    if (opts.outputPath.empty())
-        usageError("dispatch needs --output PATH for the merged trajectory");
-    if (opts.workerBinary.empty())
-        usageError("cannot resolve own binary path; pass --worker-binary "
-                   "PATH");
-    checkOutputPath(opts.outputPath);
-
-    DispatchReport report;
-    return runDispatch(registry, opts, std::cerr, &report) ? 0 : 1;
 }
 
 /**
@@ -506,45 +319,6 @@ parseMain(int argc, char **argv)
     return 0;
 }
 
-/**
- * Run one scenario's shard slice with per-record streaming: every
- * finished run is appended and flushed in canonical slice order the
- * moment it and all its predecessors are done, so a crash at any
- * instant loses at most the record being written. @p skip positions
- * (already on disk from a previous attempt) are neither re-simulated
- * nor re-written. faultTick() after each flush is where the injected
- * test faults fire.
- */
-void
-runSliceStreamed(const ExperimentEngine &engine, TrajectorySink &sink,
-                 const std::string &scenario,
-                 const std::vector<RunConfig> &shardRuns,
-                 const std::vector<std::size_t> &indices,
-                 std::size_t skip)
-{
-    const std::size_t n = shardRuns.size();
-    if (skip >= n)
-        return;
-    std::vector<RunResults> results(n);
-    std::vector<char> ready(n, 0);
-    std::mutex mu;
-    std::size_t next = skip;
-    engine.runIndexed(n - skip, [&](std::size_t t) {
-        const std::size_t j = skip + t;
-        RunResults r = runOne(shardRuns[j]);
-        const std::lock_guard<std::mutex> lock(mu);
-        results[j] = std::move(r);
-        ready[j] = 1;
-        // Ordered flush window: drain the contiguous ready prefix.
-        while (next < n && ready[next]) {
-            sink.appendOne(scenario, shardRuns[next], results[next],
-                           indices[next]);
-            faultTick();
-            ++next;
-        }
-    });
-}
-
 } // namespace
 
 int
@@ -553,18 +327,6 @@ main(int argc, char **argv)
     ScenarioRegistry registry;
     bench::registerAllScenarios(registry);
 
-    // TEST-ONLY (docs/ORCHESTRATION.md): deterministic worker fault
-    // injection for the orchestrator's crash-safety tests.
-    if (const char *env = std::getenv("GALSSIM_FAULT")) {
-        FaultPlan plan;
-        std::string ferr;
-        if (!parseFaultSpec(env, plan, ferr))
-            usageError("GALSSIM_FAULT: " + ferr);
-        setFaultPlan(plan);
-    }
-
-    if (argc >= 2 && !std::strcmp(argv[1], "dispatch"))
-        return dispatchMain(argc, argv, registry);
     if (argc >= 2 && !std::strcmp(argv[1], "parse"))
         return parseMain(argc, argv);
 
@@ -575,8 +337,6 @@ main(int argc, char **argv)
     std::string outputPath, manifestPath, verifyPath;
     bool listOnly = false, runAll = false, jobsFlag = false;
     unsigned jobs = 1;
-    std::uint64_t resumeSkip = 0;
-    FaultPlan cliFault;
     OutputFormat format = OutputFormat::table;
     // Sweep-shaping flags that --merge/--verify must reject rather
     // than silently ignore (--verify replays exactly what the
@@ -618,24 +378,6 @@ main(int argc, char **argv)
             outputPath = argValue(argc, argv, i);
         } else if (!std::strcmp(arg, "--manifest")) {
             manifestPath = argValue(argc, argv, i);
-        } else if (!std::strcmp(arg, "--resume-skip")) {
-            // Hidden worker flag (galsbench dispatch relaunches):
-            // the first N slice records are already on disk — append
-            // to --output instead of truncating it, and neither
-            // re-simulate nor re-write those positions.
-            resumeSkip = numericValue("--resume-skip",
-                                      argValue(argc, argv, i));
-            sweepFlags.push_back("--resume-skip");
-        } else if (!std::strcmp(arg, "--fault-exit-after")) {
-            // Hidden TEST-ONLY flags (docs/ORCHESTRATION.md): die or
-            // hang after N flushed records.
-            cliFault.exitAfter = numericValue(
-                "--fault-exit-after", argValue(argc, argv, i));
-            sweepFlags.push_back("--fault-exit-after");
-        } else if (!std::strcmp(arg, "--fault-hang-after")) {
-            cliFault.hangAfter = numericValue(
-                "--fault-hang-after", argValue(argc, argv, i));
-            sweepFlags.push_back("--fault-hang-after");
         } else if (!std::strcmp(arg, "--help") ||
                    !std::strcmp(arg, "-h")) {
             usage(stdout, 0);
@@ -656,18 +398,8 @@ main(int argc, char **argv)
     opts.shard = shard;
     if (!opts.snapshotDir.empty())
         setSnapshotDir(opts.snapshotDir);
-
-    if (cliFault.active())
-        setFaultPlan(cliFault);
     if (!outputPath.empty())
         checkOutputPath(outputPath);
-    if (resumeSkip > 0 &&
-        (!opts.shard.active() || outputPath.empty() ||
-         trajectoryFormatForPath(outputPath) ==
-             TrajectoryFormat::csv)) {
-        usageError("--resume-skip only applies to a --shard run with a "
-                   "JSON-lines or gtrj --output");
-    }
 
     const bool mergeMode =
         !mergeFiles.empty() || !mergeManifestFiles.empty();
@@ -797,16 +529,10 @@ main(int argc, char **argv)
 
     std::unique_ptr<TrajectorySink> sink;
     if (!outputPath.empty())
-        sink = std::make_unique<TrajectorySink>(outputPath,
-                                                resumeSkip > 0);
+        sink = std::make_unique<TrajectorySink>(outputPath);
     std::vector<ManifestScenario> manifestScenarios;
 
-    // Covers exit-after=0 / hang-after=0: the fault fires before the
-    // first record of the sweep.
-    faultPoint();
-
     const std::size_t replicas = opts.seedList().size();
-    std::uint64_t skipLeft = resumeSkip;
     const ExperimentEngine engine(jobs);
     for (const Scenario *scenario : scenarios) {
         std::size_t gridSize = 0;
@@ -830,14 +556,8 @@ main(int argc, char **argv)
             const std::vector<RunConfig> shardRuns =
                 selectRuns(runs, indices);
             if (sink) {
-                // Stream + flush record by record: this is what lets
-                // `galsbench dispatch` lose at most one record to a
-                // killed worker.
-                const std::size_t skip =
-                    std::min<std::uint64_t>(skipLeft, shardRuns.size());
-                skipLeft -= skip;
-                runSliceStreamed(engine, *sink, scenario->name,
-                                 shardRuns, indices, skip);
+                sink->append(scenario->name, shardRuns,
+                             engine.run(shardRuns), &indices);
                 std::fprintf(stderr,
                              "galsbench: %s: shard %u/%u ran %zu of "
                              "%zu runs\n",

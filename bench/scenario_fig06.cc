@@ -7,7 +7,8 @@
  * processor, because the asynchronous channels lengthen the effective
  * pipeline. (Our base machine carries more queueing than the paper's,
  * so part of the FIFO latency hides under existing queue wait; the
- * measured growth is smaller — see EXPERIMENTS.md.)
+ * measured growth is smaller — see the "Close the slip gap" item in
+ * ROADMAP.md.)
  */
 
 #include <cstdio>

@@ -221,6 +221,15 @@ runConfigHash(const RunConfig &cfg)
 }
 
 std::uint64_t
+fnv1a64(std::string_view bytes)
+{
+    CanonicalHash hash;
+    for (const char c : bytes)
+        hash.byte(static_cast<unsigned char>(c));
+    return hash.h;
+}
+
+std::uint64_t
 runConfigHash(const std::vector<RunConfig> &cfgs)
 {
     CanonicalHash hash;

@@ -11,6 +11,7 @@
 #include <array>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/processor.hh"
@@ -226,6 +227,10 @@ std::uint64_t runConfigHash(const RunConfig &cfg);
 
 /** Chained hash of a whole grid (order-sensitive, size included). */
 std::uint64_t runConfigHash(const std::vector<RunConfig> &cfgs);
+
+/** 64-bit FNV-1a of @p bytes: the hash runConfigHash() runs over its
+ *  canonical stream, here over raw bytes (warm-snapshot checksums). */
+std::uint64_t fnv1a64(std::string_view bytes);
 
 /** Execute one run. Dispatches to fabric::runSystem() when
  *  cfg.fabric.active(); otherwise the classic single-core path. */

@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 
@@ -19,6 +20,39 @@ namespace
 {
 
 constexpr const char *snapshotMagic = "GSNP";
+
+/** Every snapshot ends in fnv1a64() of the bytes before it, as 8
+ *  little-endian bytes: a flipped bit anywhere is caught before a
+ *  single field is parsed, including bits in state that restores
+ *  cleanly but would silently change the measured run. */
+constexpr std::size_t checksumBytes = 8;
+
+void
+appendChecksum(std::string &bytes)
+{
+    const std::uint64_t sum = fnv1a64(bytes);
+    for (std::size_t i = 0; i < checksumBytes; ++i)
+        bytes.push_back(static_cast<char>(sum >> (8 * i)));
+}
+
+/** @p bytes without its checksum, or nothing when the checksum is
+ *  missing or does not match. */
+std::optional<std::string_view>
+checkedBody(std::string_view bytes)
+{
+    if (bytes.size() < checksumBytes)
+        return std::nullopt;
+    const std::string_view body =
+        bytes.substr(0, bytes.size() - checksumBytes);
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < checksumBytes; ++i)
+        sum |= static_cast<std::uint64_t>(
+                   static_cast<unsigned char>(bytes[body.size() + i]))
+               << (8 * i);
+    if (sum != fnv1a64(body))
+        return std::nullopt;
+    return body;
+}
 
 std::mutex cacheMutex;
 std::unordered_map<std::uint64_t,
@@ -75,7 +109,7 @@ validateSnapshotBytes(const RunConfig &cfg, const std::string &bytes)
 }
 
 /** Atomic publish: write to a temp file in the same directory, then
- *  rename over the final name. Concurrent writers (shard workers on
+ *  rename over the final name. Concurrent writers (shard processes on
  *  one filesystem) each use a private temp name; the last rename
  *  wins with identical content. Failures are silently ignored — the
  *  directory is a cache, not a store of record. */
@@ -174,14 +208,22 @@ produceWarmupSnapshot(const RunConfig &cfg)
     w.section("machine");
     m.proc.snapshotSave(w);
     w.section("end");
-    return w.take();
+    std::string bytes = w.take();
+    appendChecksum(bytes);
+    return bytes;
 }
 
 bool
 restoreWarmMachine(Processor &proc, const RunConfig &cfg,
                    std::string_view bytes, std::string *err)
 {
-    SnapshotReader r(bytes);
+    const std::optional<std::string_view> body = checkedBody(bytes);
+    if (!body) {
+        if (err)
+            *err = "snapshot checksum mismatch (corrupt or truncated)";
+        return false;
+    }
+    SnapshotReader r(*body);
 
     const std::string magic = r.str();
     if (r.ok() && magic != snapshotMagic)

@@ -38,9 +38,11 @@
  * Snapshots are memoized in a process-wide cache (one producer per
  * key, concurrent requesters block on its completion) and,
  * optionally, in a directory (`--snapshot-dir`) shared between
- * shard workers and dispatch restarts. Disk snapshots are written
- * atomically (temp + rename) and validated by a full test-restore
- * on load; truncated, stale or foreign files are silently ignored
+ * processes, e.g. the `--shard i/N` runs of one sweep. Disk
+ * snapshots are written atomically (temp + rename). Every snapshot
+ * ends in a 64-bit checksum of its body, and a disk file is trusted
+ * only when the checksum matches and a full test-restore succeeds;
+ * truncated, corrupt, stale or foreign files are silently ignored
  * and the snapshot is re-produced.
  */
 
@@ -58,8 +60,9 @@ namespace gals
 {
 
 /** Warm-snapshot container format version (header field; bumped on
- *  any layout change — readers reject other versions). */
-constexpr std::uint64_t snapshotFormatVersion = 1;
+ *  any layout change — readers reject other versions). Version 2
+ *  added the trailing body checksum. */
+constexpr std::uint64_t snapshotFormatVersion = 2;
 
 /**
  * The configuration a warmup snapshot for @p cfg is produced under:
@@ -96,9 +99,9 @@ std::shared_ptr<const std::string> acquireWarmupSnapshot(
 
 /**
  * Restore warm state from @p bytes into the freshly constructed
- * @p proc, checking the header (magic, format version, simulator
- * version, warmup key of @p cfg) and every structural field on the
- * way. Returns false and sets @p err on any mismatch or truncation;
+ * @p proc, checking the trailing body checksum first, then the
+ * header (magic, format version, simulator version, warmup key of
+ * @p cfg) and every structural field on the way. Returns false and sets @p err on any mismatch or truncation;
  * @p proc is then partially mutated and must be discarded.
  */
 bool restoreWarmMachine(Processor &proc, const RunConfig &cfg,

@@ -23,8 +23,8 @@
  * and link hops are ordinary prioritized tickers (stages 10, NIC 20,
  * energy 90), channels are drained in fixed ascending-source order,
  * and all randomness comes from seeds in the RunConfig. Results are
- * therefore byte-identical across --jobs, shard/merge round trips and
- * dispatch crash-resume, like every single-core run.
+ * therefore byte-identical across --jobs and shard/merge round trips,
+ * like every single-core run.
  */
 
 #ifndef FABRIC_SYSTEM_HH

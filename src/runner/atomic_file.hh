@@ -3,9 +3,9 @@
  * Crash-safe whole-file writes (temp file + atomic rename), and the
  * matching whole-file read.
  *
- * A manifest or status file written with a plain ofstream can be
- * left half-written by a crash (or a full disk) and then misparse in
- * a later `--verify` or resume. atomicWriteFile() writes the new
+ * A manifest written with a plain ofstream can be left half-written
+ * by a crash (or a full disk) and then misparse in a later
+ * `--verify` or `--merge-manifest`. atomicWriteFile() writes the new
  * contents to `<path>.tmp` in full — fsync'd — and only then
  * rename(2)s it over @p path, so any reader at any instant sees
  * either the complete old file or the complete new file, never a

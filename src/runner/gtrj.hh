@@ -41,9 +41,8 @@
  * inter-record compression), so a shard's frames are byte-identical
  * to the same records in an unsharded file — merge fan-in reorders
  * raw frames without re-encoding — and a SIGKILL mid-write leaves a
- * detectable torn tail: the orchestrator's resume scan keeps the
- * valid frame prefix and truncates the rest, exactly like the
- * JSON-lines partial-line scan.
+ * detectable torn tail, which TrajectoryReader reports as torn
+ * (never as a record), exactly like a partial JSON line.
  */
 
 #ifndef RUNNER_GTRJ_HH

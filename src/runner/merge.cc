@@ -272,9 +272,8 @@ mergeTrajectories(const std::vector<std::string> &shardFiles,
                 break;
             const std::string where =
                 path + " record " + std::to_string(recNo);
-            // Torn tails are the orchestrator's business (resume
-            // salvage); merge inputs are finished slices and must be
-            // intact.
+            // Merge inputs are finished slices and must be intact; a
+            // shard that died mid-write is re-run whole.
             if (st != TrajectoryReader::Status::ok) {
                 diag << "merge: " << where << ": " << reader.error()
                      << "\n";

@@ -171,7 +171,7 @@ list()
 }
 
 /** --seed-list replaces the replica seeds; --seed / --seeds shape
- *  seed, seed+1, ...; workers always get the explicit list. */
+ *  seed, seed+1, ...; the argv is always the explicit list. */
 constexpr AxisCodec seedsCodec = {
     [](const std::string &flag, const std::string &value,
        SweepOptions &o) {
@@ -256,8 +256,7 @@ checkWarmup(const SweepOptions &o)
 
 /** The row's JSON value, built from its argv values. */
 void
-writeValue(std::ostream &os, const SweepAxis &row, const SweepOptions &o,
-           const char *sep)
+writeValue(std::ostream &os, const SweepAxis &row, const SweepOptions &o)
 {
     const std::vector<std::string> argv = row.argv(o);
     const AxisShape shape = row.codec.shape;
@@ -271,7 +270,7 @@ writeValue(std::ostream &os, const SweepAxis &row, const SweepOptions &o,
             items.push_back(item);
     os << '[';
     for (std::size_t i = 0; i < items.size(); ++i)
-        os << (i ? sep : "")
+        os << (i ? ", " : "")
            << (shape == AxisShape::numberList ? items[i]
                                               : jsonQuote(items[i]));
     os << ']';
@@ -341,11 +340,10 @@ sweepAxes()
 }
 
 void
-writeSweepAxes(std::ostream &os, const SweepOptions &o, bool pretty)
+writeSweepAxes(std::ostream &os, const SweepOptions &o)
 {
-    const char *sep = pretty ? ", " : ",";
     const auto member = [&](const char *key) {
-        os << '"' << key << (pretty ? "\": " : "\":");
+        os << '"' << key << "\": ";
     };
     const auto written = [&](const SweepAxis &row) {
         return row.gate == AxisGate::always ||
@@ -361,17 +359,17 @@ writeSweepAxes(std::ostream &os, const SweepOptions &o, bool pretty)
             ++end;
         if (!std::any_of(rows.begin() + i, rows.begin() + end, written))
             continue;
-        os << (pretty ? "  " : ",");
+        os << "  ";
         if (group) {
             member(group);
             os << '{';
         }
         for (std::size_t k = i; k < end; ++k) {
-            os << (k > i ? sep : "");
+            os << (k > i ? ", " : "");
             member(rows[k].key);
-            writeValue(os, rows[k], o, sep);
+            writeValue(os, rows[k], o);
         }
-        os << (group ? "}" : "") << (pretty ? ",\n" : "");
+        os << (group ? "}" : "") << ",\n";
     }
 }
 
@@ -396,15 +394,6 @@ readSweepAxes(const json::Value &manifest, SweepOptions &o)
                    row.key;
     }
     return "";
-}
-
-void
-appendSweepAxisArgs(const SweepOptions &o,
-                    std::vector<std::string> &argv)
-{
-    for (const SweepAxis &row : sweepAxes())
-        if (row.gate == AxisGate::always || row.isSet(o))
-            row.codec.toArgv(row.flags[0], o, argv);
 }
 
 std::optional<std::string>

@@ -1,9 +1,8 @@
 /**
  * @file
  * The sweep-axis table: the one place that knows each SweepOptions
- * axis. Both galsbench parsers, writeManifest(), the manifest reader
- * and merge compatibility check, the dispatch plan line and the
- * worker argv all loop over its rows.
+ * axis. The galsbench parser, writeManifest(), and the manifest
+ * reader and merge compatibility check all loop over its rows.
  *
  * Adding an axis takes one row plus its model code (the SweepOptions
  * field and the scenario or runOne() code that reads it). The
@@ -31,12 +30,12 @@ namespace json
 struct Value;
 } // namespace json
 
-/** Where a row appears in the manifest and the dispatch plan line. */
+/** Where a row appears in the manifest. */
 enum class AxisGate
 {
     always,  ///< on every sweep
     whenSet, ///< only when set, so older archives keep their bytes
-    never,   ///< not run-defining: only forwarded to dispatch workers
+    never,   ///< not recorded: it never shapes a run's records
 };
 
 /** Which runs a row reaches; a set value that reaches none of the
@@ -49,9 +48,9 @@ enum class AxisScope
                      ///< Scenario::readsFabricAxes
 };
 
-/** The JSON form of a row's argv values in manifests and plan
- *  lines. Reading a manifest turns it back into those values and
- *  parses them with the row's CLI validator. */
+/** The JSON form of a row's argv values in manifests. Reading a
+ *  manifest turns it back into those values and parses them with the
+ *  row's CLI validator. */
 enum class AxisShape
 {
     number,        ///< `--flag N`: N
@@ -60,14 +59,14 @@ enum class AxisShape
     stringPerFlag, ///< `--flag a --flag b`: ["a", "b"]
 };
 
-/** How a row's value is parsed and forwarded. */
+/** How a row's value is parsed and spelled back. */
 struct AxisCodec
 {
     /** Parse @p value, given as @p flag, into @p o; "" or the error. */
     std::string (*parse)(const std::string &flag,
                          const std::string &value, SweepOptions &o);
     /** Append the argv that re-creates the value (@p flag is the
-     *  row's first spelling). */
+     *  row's first spelling); manifest values are built from it. */
     void (*toArgv)(const char *flag, const SweepOptions &o,
                    std::vector<std::string> &argv);
     AxisShape shape;
@@ -76,7 +75,7 @@ struct AxisCodec
 /** One sweep axis. Rows sharing a @ref group are contiguous. */
 struct SweepAxis
 {
-    const char *key;   ///< manifest / plan-line member name
+    const char *key;   ///< manifest member name
     const char *group; ///< enclosing object ("fabric"), or nullptr
     std::vector<const char *> flags; ///< CLI spellings
     const char *env;   ///< GALSSIM_* default, or nullptr
@@ -103,22 +102,16 @@ struct SweepAxis
     }
 };
 
-/** The rows, in manifest / plan-line / worker-argv order. */
+/** The rows, in manifest order. */
 const std::vector<SweepAxis> &sweepAxes();
 
-/** Append the recorded rows of @p o as JSON members: the manifest's
- *  pretty `  "key": value,\n` lines, or the plan line's compact
- *  `,"key":value`. */
-void writeSweepAxes(std::ostream &os, const SweepOptions &o,
-                    bool pretty);
+/** Append the recorded rows of @p o as the manifest's
+ *  `  "key": value,\n` JSON member lines. */
+void writeSweepAxes(std::ostream &os, const SweepOptions &o);
 
 /** Read the recorded rows of a parsed manifest into @p o; "" or the
  *  error. */
 std::string readSweepAxes(const json::Value &manifest, SweepOptions &o);
-
-/** Append the worker argv of every always-gated or set row. */
-void appendSweepAxisArgs(const SweepOptions &o,
-                         std::vector<std::string> &argv);
 
 /** A non-negative decimal into @p out; "" or the error. */
 std::string parseU64(const std::string &flag, const std::string &text,
@@ -128,8 +121,7 @@ std::string parseU64(const std::string &flag, const std::string &text,
 std::string parseUnsigned(const std::string &flag,
                           const std::string &text, unsigned &out);
 
-/** The axis half of one command line, shared by both galsbench
- *  parsers. */
+/** The axis half of one galsbench command line. */
 class SweepAxisParser
 {
   public:

@@ -5,9 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <sstream>
-#include <system_error>
 
 #include "runner/atomic_file.hh"
 #include "runner/gtrj.hh"
@@ -291,32 +289,16 @@ trajectoryFormatName(TrajectoryFormat format)
     }
 }
 
-TrajectorySink::TrajectorySink(const std::string &path,
-                               bool appendMode)
+TrajectorySink::TrajectorySink(const std::string &path)
     : path_(path), format_(trajectoryFormatForPath(path)),
-      file_(path, std::ios::out | std::ios::binary |
-                      (appendMode ? std::ios::app
-                                  : std::ios::trunc)),
+      file_(path, std::ios::out | std::ios::binary | std::ios::trunc),
       os_(&file_)
 {
-    if (appendMode && format_ == TrajectoryFormat::csv)
-        gals_fatal("append mode needs a JSON-lines or gtrj "
-                   "trajectory, not '",
-                   path_, "'");
     if (!file_)
         gals_fatal("cannot open trajectory file '", path_,
                    "' for writing");
-    if (format_ == TrajectoryFormat::gtrj) {
-        // Fresh files get the header now; an append-mode resume only
-        // needs one when the salvage scan truncated the file to
-        // nothing (a torn header counts for nothing).
-        std::error_code ec;
-        const auto size =
-            appendMode ? std::filesystem::file_size(path, ec)
-                       : std::uintmax_t(0);
-        if (!appendMode || ec || size == 0)
-            *os_ << gtrj::fileHeader();
-    }
+    if (format_ == TrajectoryFormat::gtrj)
+        *os_ << gtrj::fileHeader();
 }
 
 TrajectorySink::TrajectorySink(std::ostream &os,
@@ -365,23 +347,6 @@ TrajectorySink::append(const std::string &scenario,
 }
 
 void
-TrajectorySink::appendOne(const std::string &scenario,
-                          const RunConfig &cfg,
-                          const RunResults &result,
-                          std::size_t canonicalIndex)
-{
-    const std::vector<RunConfig> cfgs{cfg};
-    const std::vector<RunResults> results{result};
-    const std::vector<std::size_t> indices{canonicalIndex};
-    append(scenario, cfgs, results, &indices);
-    // The flush is the contract: once appendOne() returns, the
-    // record survives a SIGKILL of this process.
-    os_->flush();
-    if (!*os_)
-        gals_fatal("error writing trajectory file '", path_, "'");
-}
-
-void
 TrajectorySink::close()
 {
     if (os_ == &file_ && !file_.is_open())
@@ -407,7 +372,7 @@ writeManifest(std::ostream &os, const SweepOptions &opts,
        << "  \"galssim_version\": " << jsonQuote(galssimVersion())
        << ",\n"
        << "  \"engine\": " << jsonQuote(engineName) << ",\n";
-    writeSweepAxes(os, opts, true);
+    writeSweepAxes(os, opts);
 
     if (opts.shard.active())
         os << "  \"shard\": {\"index\": " << opts.shard.index
@@ -442,9 +407,8 @@ writeManifestFile(const std::string &path, const SweepOptions &opts,
                   const std::string &outputPath,
                   const std::vector<ManifestScenario> &scenarios)
 {
-    // Atomic rename, not in-place truncate: the dispatch
-    // orchestrator treats a slice manifest's *existence* as the
-    // slice-complete marker, so a torn manifest must be impossible.
+    // Atomic rename, not in-place truncate: a torn manifest must
+    // never reach `--verify` or `--merge-manifest`.
     std::ostringstream os;
     writeManifest(os, opts, engineName, outputPath, scenarios);
     std::string err;

@@ -79,19 +79,9 @@ const char *trajectoryFormatName(TrajectoryFormat format);
 class TrajectorySink
 {
   public:
-    /**
-     * Open @p path; fatal if the file cannot be created. A gtrj sink
-     * writes the file header on open (append mode: only when the
-     * file is empty, i.e. a fresh slice or a resume scan that
-     * truncated everything including a torn header).
-     * @param appendMode keep existing contents and append (the
-     *     dispatch orchestrator's resumed workers extend a salvaged
-     *     record prefix); JSON-lines and gtrj only — a resumed CSV
-     *     file would need header reconciliation nothing requires
-     *     yet.
-     */
-    explicit TrajectorySink(const std::string &path,
-                            bool appendMode = false);
+    /** Truncate and open @p path; fatal if the file cannot be
+     *  created. A gtrj sink writes the file header on open. */
+    explicit TrajectorySink(const std::string &path);
 
     /**
      * Write to a caller-owned stream instead of a file — this is how
@@ -110,21 +100,6 @@ class TrajectorySink
                 const std::vector<RunConfig> &cfgs,
                 const std::vector<RunResults> &results,
                 const std::vector<std::size_t> *indices = nullptr);
-
-    /**
-     * Append ONE record and flush it to disk before returning (a CSV
-     * sink writes its header with the first record, as append()
-     * does). This is the crash-safety primitive behind `galsbench
-     * dispatch`: a worker streaming records through appendOne() in
-     * canonical order loses at most the one record being written
-     * when it is killed, and the surviving prefix is a valid record
-     * prefix (JSON lines / gtrj frames) the orchestrator's resume
-     * scan can keep.
-     * @param canonicalIndex the record's index in the unsharded grid.
-     */
-    void appendOne(const std::string &scenario, const RunConfig &cfg,
-                   const RunResults &result,
-                   std::size_t canonicalIndex);
 
     /** Flush and verify the stream; fatal on any write error. Safe
      *  to call more than once. Caller-owned streams are flushed but
@@ -163,8 +138,8 @@ struct TrajectoryRecord
  * identity sits: a JSON-lines record is one line holding a JSON
  * object, a CSV file is a header row and then one row per record
  * (columns found by header name), and a gtrj file is the magic /
- * version header and then one frame per record. Merge, the dispatch
- * resume scan, dispatch progress and `--verify` all read through it.
+ * version header and then one frame per record. Merge and `--verify`
+ * read through it.
  */
 class TrajectoryReader
 {
@@ -214,7 +189,7 @@ class TrajectoryReader
 };
 
 /** The leading ok records of @p buf: the record count of a file the
- *  writers finished, and of a live one up to its torn tail. */
+ *  writers finished, or of a torn one up to its torn tail. */
 std::size_t countTrajectoryRecords(std::string_view buf,
                                    TrajectoryFormat format);
 
@@ -228,11 +203,11 @@ struct ManifestScenario
 };
 
 /**
- * The `"engine"` value new manifests and dispatch plan lines record.
- * The simulator has one event queue (the calendar queue); the field
- * stays so archived manifests and resumable dispatch work dirs keep
- * their exact bytes. `--verify` also accepts archives naming the
- * retired `"heap"` engine, which popped events in the same order.
+ * The `"engine"` value new manifests record. The simulator has one
+ * event queue (the calendar queue); the field stays so archived
+ * manifests keep their exact bytes. `--verify` also accepts archives
+ * naming the retired `"heap"` engine, which popped events in the
+ * same order.
  */
 inline constexpr const char *manifestEngineName = "calendar";
 
@@ -255,8 +230,9 @@ void writeManifest(std::ostream &os, const SweepOptions &opts,
                    const std::vector<ManifestScenario> &scenarios);
 
 /** writeManifest() to @p path via temp-file + atomic rename, so a
- *  crash mid-write never leaves a torn manifest — either the old
- *  file survives intact or the new one is complete. Fatal on any IO
+ *  crash or full disk mid-write never leaves a torn manifest for
+ *  `--verify` or `--merge-manifest` to read — either the old file
+ *  survives intact or the new one is complete. Fatal on any IO
  *  error. */
 void writeManifestFile(const std::string &path,
                        const SweepOptions &opts,

@@ -10,8 +10,8 @@
  * header/version gate, the full record round trip through every
  * optional block (fabric, per-core, intervals), the byte-identity of
  * toJsonLines()/toCsv() against the strict reporters, the size
- * advantage over the text twin, and the TrajectorySink append-mode
- * header-once behavior the dispatch resume path relies on.
+ * advantage over the text twin, and a TrajectorySink gtrj file
+ * against one built by hand.
  */
 
 #include <gtest/gtest.h>
@@ -532,48 +532,12 @@ TEST(GtrjSink, StreamedAppendMatchesHandBuiltFile)
     {
         TrajectorySink sink(path);
         EXPECT_EQ(sink.format(), TrajectoryFormat::gtrj);
-        sink.appendOne("fig05", cfgs[0], results[0], 0);
-        sink.appendOne("fig05", cfgs[1], results[1], 1);
+        const std::vector<std::size_t> indices = {0, 1};
+        sink.append("fig05", cfgs, results, &indices);
         sink.close();
     }
     EXPECT_EQ(slurp(path),
               buildFile("fig05", cfgs, results, {0, 1}));
-    std::remove(path.c_str());
-}
-
-TEST(GtrjSink, AppendModeWritesTheHeaderExactlyOnce)
-{
-    const std::string path = tempPath("resume.gtrj");
-    std::remove(path.c_str());
-
-    std::vector<RunConfig> cfgs = {sampleConfig(0), sampleConfig(1)};
-    std::vector<RunResults> results = {sampleResults(0),
-                                       sampleResults(1)};
-    {
-        TrajectorySink sink(path);
-        sink.appendOne("fig05", cfgs[0], results[0], 0);
-        sink.close();
-    }
-    {
-        // A resumed worker reopens in append mode: the header is
-        // already on disk and must not repeat.
-        TrajectorySink sink(path, /*appendMode=*/true);
-        sink.appendOne("fig05", cfgs[1], results[1], 1);
-        sink.close();
-    }
-    EXPECT_EQ(slurp(path),
-              buildFile("fig05", cfgs, results, {0, 1}));
-
-    {
-        // Append mode on an empty file (the resume scan truncated a
-        // torn header to zero bytes) writes the header fresh.
-        std::ofstream(path, std::ios::trunc).close();
-        TrajectorySink sink(path, /*appendMode=*/true);
-        sink.appendOne("fig05", cfgs[0], results[0], 0);
-        sink.close();
-    }
-    EXPECT_EQ(slurp(path), buildFile("fig05", {cfgs[0]},
-                                     {results[0]}, {0}));
     std::remove(path.c_str());
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Tests for grid sharding and shard fan-in: shardRunIndices() must
  * partition any grid completely, disjointly and near-evenly; the
- * JSON reader must round-trip our own record formats; and
+ * JSON reader must round-trip our own record formats and survive
+ * seeded truncations and bit flips of a manifest and a record; and
  * mergeTrajectories()/mergeManifests() must reassemble shard files
  * byte-identical to the unsharded originals — including CSV header
  * handling, scenario-order recovery and the overlap/gap error
@@ -13,6 +14,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,6 +25,7 @@
 #include "runner/merge.hh"
 #include "runner/reporter.hh"
 #include "runner/scenario.hh"
+#include "runner/sweep_axes.hh"
 #include "runner/trajectory.hh"
 
 using namespace gals;
@@ -233,6 +236,92 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_EQ(v.find("q")->str, "a\"b\\c");
 }
 
+// ------------------------------------------------------------------
+// Seeded mutations of the text the JSON reader decodes: a real
+// manifest (fabric, warmup and shard set) and a real JSON-lines
+// record, truncated at every offset and flipped once per byte. The
+// pass asserts no crash (and, under ASan/UBSan, no report) and that a
+// text cut before its closing brace never parses.
+// ------------------------------------------------------------------
+
+namespace
+{
+
+/** The decoders' inputs, each without a trailing newline. */
+std::vector<std::pair<std::string, std::string>>
+mutationInputs()
+{
+    SweepOptions opts;
+    opts.instructions = 3000;
+    opts.explicitSeeds = {3, 5};
+    opts.benchmarks = {"gcc", "fpppp"};
+    opts.coreCounts = {2, 4};
+    opts.topologies = {"ring", "mesh2d"};
+    opts.traffics = {"uniform", "hotspot:1"};
+    opts.warmupInstructions = 1000;
+    opts.shard = ShardSpec{2, 3};
+    std::ostringstream manifest, record;
+    writeManifest(manifest, opts, "calendar", "shard_2.jsonl",
+                  {{"alpha", 4, 2, 0x0123456789abcdefull}});
+    writeJsonLines(record, "alpha", {fakeConfig(3)}, {fakeResult(3)});
+    std::vector<std::pair<std::string, std::string>> inputs = {
+        {"manifest", manifest.str()}, {"record", record.str()}};
+    for (auto &[name, text] : inputs)
+        text.pop_back(); // the '\n'
+    return inputs;
+}
+
+/** Decode @p text as @p name does: parse, then (manifests) read the
+ *  sweep axes back. True when both succeed. */
+bool
+decodes(const std::string &name, const std::string &text)
+{
+    json::Value v;
+    std::string err;
+    if (!json::parse(text, v, err))
+        return false;
+    SweepOptions o;
+    return name != "manifest" || readSweepAxes(v, o).empty();
+}
+
+} // namespace
+
+TEST(JsonMutation, IntactInputsDecode)
+{
+    for (const auto &[name, text] : mutationInputs())
+        EXPECT_TRUE(decodes(name, text)) << name;
+}
+
+TEST(JsonMutation, TruncationBeforeTheClosingBraceIsRejected)
+{
+    for (const auto &[name, text] : mutationInputs()) {
+        const std::size_t brace = text.rfind('}');
+        ASSERT_EQ(brace, text.size() - 1) << name;
+        for (std::size_t cut = 0; cut < text.size(); ++cut)
+            ASSERT_FALSE(decodes(name, text.substr(0, cut)))
+                << name << " cut at " << cut;
+    }
+}
+
+TEST(JsonMutation, SingleBitFlipsDecodeOrAreRejected)
+{
+    // One flip per byte, the bit drawn from a fixed-seed generator.
+    std::mt19937 rng(20023);
+    for (const auto &[name, text] : mutationInputs()) {
+        std::size_t rejected = 0;
+        for (std::size_t at = 0; at < text.size(); ++at) {
+            std::string flipped = text;
+            flipped[at] =
+                static_cast<char>(flipped[at] ^ (1u << (rng() % 8)));
+            rejected += !decodes(name, flipped);
+        }
+        // The pass must exercise both outcomes: a flipped digit or
+        // string byte still decodes, a flipped brace or quote does not.
+        EXPECT_GT(rejected, 0u) << name;
+        EXPECT_LT(rejected, text.size()) << name;
+    }
+}
+
 TEST(Merge, ShardsReassembleByteIdenticalInEveryFormat)
 {
     // Two scenarios: one whose grid (2 runs) is smaller than the
@@ -275,8 +364,8 @@ TEST(Merge, ShardsReassembleByteIdenticalInEveryFormat)
 TEST(Merge, UnterminatedFinalJsonLineIsTorn)
 {
     // A shard whose last line lost its newline is what a killed
-    // writer leaves: the dispatch resume scan trims it, and merge
-    // refuses it rather than patching the newline back in.
+    // writer leaves: merge refuses it rather than patching the
+    // newline back in, and the shard is re-run whole.
     const std::vector<FakeGrid> grids = {FakeGrid("alpha", 6)};
     std::vector<std::string> shardFiles;
     for (unsigned i = 1; i <= 2; ++i) {

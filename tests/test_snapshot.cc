@@ -3,7 +3,8 @@
  * Warm-state checkpointing tests (core/snapshot.hh): per-unit
  * save/restore round trips, strict rejection of damaged or foreign
  * snapshot bytes, the warmup-key sharing rules, the disk cache's
- * tolerance of stale/partial files, and the headline contract — a
+ * tolerance of stale, partial and bit-flipped files, and the
+ * headline contract — a
  * memoized warm run is byte-identical to the same sweep run cold,
  * at any job count.
  */
@@ -12,6 +13,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 
 #include "bpred/bpred.hh"
@@ -65,6 +67,17 @@ warmCfg()
     cfg.warmupInstructions = 4000;
     cfg.seed = 7;
     return cfg;
+}
+
+/** @p body followed by its checksum, as produceWarmupSnapshot()
+ *  seals a snapshot. */
+std::string
+sealed(std::string body)
+{
+    const std::uint64_t sum = fnv1a64(body);
+    for (int i = 0; i < 8; ++i)
+        body.push_back(static_cast<char>(sum >> (8 * i)));
+    return body;
 }
 
 /** A 4-cell DVFS sweep sharing one warmup stem. */
@@ -312,8 +325,30 @@ TEST(SnapshotFormat, VersionMismatchIsRejected)
     const RunConfig cfg = warmCfg();
     Machine m(cfg);
     std::string err;
-    EXPECT_FALSE(restoreWarmMachine(m.proc, cfg, w.bytes(), &err));
-    EXPECT_NE(err.find("version"), std::string::npos) << err;
+    EXPECT_FALSE(restoreWarmMachine(m.proc, cfg, sealed(w.bytes()), &err));
+    EXPECT_NE(err.find("format version"), std::string::npos) << err;
+}
+
+TEST(SnapshotFormat, ChecksumIsCheckedBeforeAnyField)
+{
+    const RunConfig cfg = warmCfg();
+    const std::string bytes = produceWarmupSnapshot(cfg);
+    // The body is sealed by its trailing checksum.
+    EXPECT_EQ(sealed(bytes.substr(0, bytes.size() - 8)), bytes);
+
+    // A version-1 file (no checksum) and a flipped magic byte both
+    // fail on the checksum, not on a field.
+    SnapshotWriter v1;
+    v1.str("GSNP");
+    v1.u64(1);
+    std::string flipped = bytes;
+    flipped[1] ^= 0x01;
+    for (const std::string &bad : {v1.bytes(), flipped}) {
+        Machine m(cfg);
+        std::string err;
+        EXPECT_FALSE(restoreWarmMachine(m.proc, cfg, bad, &err));
+        EXPECT_NE(err.find("checksum"), std::string::npos) << err;
+    }
 }
 
 TEST(SnapshotFormat, ForeignMagicIsRejected)
@@ -492,6 +527,45 @@ TEST_F(SnapshotDirTest, PartialFileIsIgnoredAndRewritten)
     const auto again = acquireWarmupSnapshot(cfg);
     EXPECT_EQ(*bytes, *again);
     EXPECT_EQ(std::filesystem::file_size(path), bytes->size());
+}
+
+TEST_F(SnapshotDirTest, FlippedBitsNeverChangeARecord)
+{
+    // Disk corruption must never reach a record: every single-bit flip
+    // of a stored snapshot is rejected and the file re-produced, so
+    // the run's record equals the one from intact warm state. A full
+    // test-restore alone misses flips in state that restores cleanly.
+    const RunConfig cfg = warmCfg();
+    const std::string path =
+        snapshotPathFor(dir_.string(), warmupKeyHash(cfg));
+    const auto recordOf = [&cfg] {
+        std::ostringstream os;
+        runner::writeJsonLines(os, "warm", {cfg}, {runOne(cfg)});
+        return os.str();
+    };
+    const std::string reference = recordOf();
+    const std::string pristine = *acquireWarmupSnapshot(cfg);
+
+    std::mt19937 rng(20022);
+    for (int flip = 0; flip < 48; ++flip) {
+        const std::size_t at = rng() % pristine.size();
+        const int bit = static_cast<int>(rng() % 8);
+        std::string bytes = pristine;
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+        {
+            std::ofstream os(path, std::ios::binary | std::ios::trunc);
+            os << bytes;
+        }
+        clearSnapshotCache();
+        EXPECT_EQ(recordOf(), reference)
+            << "flip of bit " << bit << " at byte " << at;
+
+        std::ifstream is(path, std::ios::binary);
+        std::ostringstream disk;
+        disk << is.rdbuf();
+        EXPECT_EQ(disk.str(), pristine)
+            << "not re-produced: bit " << bit << " at byte " << at;
+    }
 }
 
 TEST_F(SnapshotDirTest, StaleGarbageFileIsIgnored)

@@ -6,8 +6,6 @@
  *
  *   - SweepOptions -> writeManifest -> manifest reader gives back equal
  *     options (through --merge-manifest, which reads and rewrites);
- *   - SweepOptions -> worker argv -> the shared CLI axis parse gives
- *     back equal options;
  *   - shard manifests that differ in any run-defining row are refused
  *     by --merge-manifest.
  *
@@ -85,13 +83,14 @@ roundTripCases()
     return cases;
 }
 
-/** Every row of @p a equals @p b's, by the row's own identity. */
+/** Every recorded row of @p a equals @p b's, by the row's own
+ *  identity. */
 void
 expectSameAxes(const SweepOptions &a, const SweepOptions &b,
-               bool runDefiningOnly, const std::string &what)
+               const std::string &what)
 {
     for (const SweepAxis &row : sweepAxes()) {
-        if (!runDefiningOnly || row.gate != AxisGate::never) {
+        if (row.gate != AxisGate::never) {
             EXPECT_EQ(row.argv(a), row.argv(b)) << what << ": " << row.key;
         }
     }
@@ -198,7 +197,7 @@ TEST_F(SweepAxes, ManifestRoundTripsEveryRow)
             << what << ": " << err;
         SweepOptions back;
         ASSERT_EQ(readSweepAxes(v, back), "") << what;
-        expectSameAxes(back, o, true, what);
+        expectSameAxes(back, o, what);
 
         // The full manifest reader: a one-shard merge reads the shard
         // manifest and rewrites it without its shard object.
@@ -221,20 +220,6 @@ TEST_F(SweepAxes, ManifestRoundTripsEveryRow)
                       writeManifestText(SweepOptions(), ""))
                 << row.key;
         }
-    }
-}
-
-TEST_F(SweepAxes, WorkerArgvRoundTripsEveryRow)
-{
-    const ScenarioRegistry none;
-    const std::vector<SweepOptions> cases = roundTripCases();
-
-    for (std::size_t c = 0; c < cases.size(); ++c) {
-        std::vector<std::string> argv;
-        appendSweepAxisArgs(cases[c], argv);
-        SweepOptions back;
-        ASSERT_EQ(parseArgs(none, {}, argv, back), "") << "case " << c;
-        expectSameAxes(back, cases[c], false, "case " + std::to_string(c));
     }
 }
 
