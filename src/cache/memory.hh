@@ -31,7 +31,6 @@ class MemoryModel
     }
 
     unsigned latency() const { return latency_; }
-    void setLatency(unsigned l) { latency_ = l; }
     std::uint64_t accesses() const { return accesses_; }
 
   private:

@@ -152,7 +152,6 @@ class Processor
     ExecDomain &memCluster() { return *execMem_; }
     CacheHierarchy &caches() { return hier_; }
     EnergyAccount &energy() { return energy_; }
-    const PowerModel &powerModel() const { return powerModel_; }
     const DynInstPool &instPool() const { return instPool_; }
     ClockDomain &domain(DomainId d)
     {

@@ -101,8 +101,11 @@ std::shared_ptr<const std::string> acquireWarmupSnapshot(
  * Restore warm state from @p bytes into the freshly constructed
  * @p proc, checking the trailing body checksum first, then the
  * header (magic, format version, simulator version, warmup key of
- * @p cfg) and every structural field on the way. Returns false and sets @p err on any mismatch or truncation;
- * @p proc is then partially mutated and must be discarded.
+ * @p cfg) and every structural field on the way; only the buffer
+ * acquireWarmupSnapshot() returns, checked when it was cached, skips
+ * the checksum. Returns false and sets @p err on any mismatch or
+ * truncation; @p proc is then partially mutated and must be
+ * discarded.
  */
 bool restoreWarmMachine(Processor &proc, const RunConfig &cfg,
                         std::string_view bytes, std::string *err);

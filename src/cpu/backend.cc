@@ -108,6 +108,8 @@ ExecDomain::queueUnit() const
     return Unit::intIssueQueue;
 }
 
+/** The scoreboard, the issue queue's only readiness source, observes
+ *  the value before the queue counts the wakeup's tag compares. */
 void
 ExecDomain::localWakeup(PhysRegId reg, std::uint32_t epoch)
 {

@@ -19,29 +19,10 @@ void
 IssueQueue::insert(const DynInstPtr &inst)
 {
     gals_assert(!full(), "insert into full issue queue '", name_, "'");
-    Entry e;
-    e.inst = inst;
-    for (unsigned i = 0; i < DynInst::maxSrcs; ++i)
-        e.ready[i] = i >= inst->numSrcs;
+    Entry e{inst};
     refreshReady(e);
     srcSum_ += inst->numSrcs;
     entries_.push_back(std::move(e));
-}
-
-void
-IssueQueue::wakeup(PhysRegId reg, std::uint32_t epoch)
-{
-    // The tag is compared against every source of every entry.
-    wakeupMatches_ += srcSum_;
-    for (auto &e : entries_) {
-        if (e.allReady)
-            continue; // ready bits only ever turn on
-        for (unsigned i = 0; i < e.inst->numSrcs; ++i) {
-            if (!e.ready[i] && e.inst->physSrcs[i] == reg &&
-                e.inst->srcEpochs[i] <= epoch)
-                e.ready[i] = true;
-        }
-    }
 }
 
 unsigned

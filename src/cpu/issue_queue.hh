@@ -13,12 +13,14 @@
 
 #include "cpu/scoreboard.hh"
 #include "isa/dyn_inst.hh"
+#include "sim/logging.hh"
 
 namespace gals
 {
 
 /**
- * Age-ordered issue queue with per-operand ready bits.
+ * Age-ordered issue queue. The scoreboard is its only readiness
+ * source, read at insert and at select; a wakeup sets nothing.
  */
 class IssueQueue
 {
@@ -32,13 +34,19 @@ class IssueQueue
     {
         return static_cast<unsigned>(entries_.size());
     }
-    unsigned capacity() const { return capacity_; }
 
     /** Insert at dispatch; readiness snapshot from the scoreboard. */
     void insert(const DynInstPtr &inst);
 
-    /** A wakeup arrived: refresh matching operands' ready bits. */
-    void wakeup(PhysRegId reg, std::uint32_t epoch);
+    /** A wakeup for (@p reg, @p epoch), which the scoreboard has
+     *  already observed, arrived: count its tag compares. */
+    void
+    wakeup(PhysRegId reg, std::uint32_t epoch)
+    {
+        gals_assert(view_.ready(reg, epoch), "issue queue '", name_,
+                    "': wakeup (", reg, ", ", epoch, ") not observed");
+        wakeupMatches_ += srcSum_;
+    }
 
     /**
      * Select up to @p width ready instructions, oldest first, subject
@@ -67,25 +75,20 @@ class IssueQueue
     struct Entry
     {
         DynInstPtr inst;
-        bool ready[DynInst::maxSrcs];
         bool allReady = false;
     };
 
-    /** Latch operands the scoreboard now shows ready; recompute
-     *  allReady. Ready bits are monotonic, so a ready entry stays so. */
+    /** Latch allReady once the scoreboard shows every operand ready;
+     *  its epochs only grow, so a ready entry stays so. */
     void
     refreshReady(Entry &e) const
     {
         if (e.allReady)
             return;
+        for (unsigned i = 0; i < e.inst->numSrcs; ++i)
+            if (!view_.ready(e.inst->physSrcs[i], e.inst->srcEpochs[i]))
+                return;
         e.allReady = true;
-        for (unsigned i = 0; i < e.inst->numSrcs; ++i) {
-            if (!e.ready[i]) {
-                e.ready[i] = view_.ready(e.inst->physSrcs[i],
-                                         e.inst->srcEpochs[i]);
-            }
-            e.allReady = e.allReady && e.ready[i];
-        }
     }
 
     std::string name_;

@@ -165,9 +165,6 @@ class TrajectoryReader
      *  empty for JSON lines, an empty CSV file or a failed header. */
     std::string_view header() const { return header_; }
 
-    /** Offset just past the header and the last ok record. */
-    std::size_t validBytes() const { return valid_; }
-
     /** Why the last next() returned torn or bad. */
     const std::string &error() const { return err_; }
 
@@ -177,7 +174,7 @@ class TrajectoryReader
 
     std::string_view buf_;
     TrajectoryFormat format_;
-    std::size_t valid_ = 0;
+    std::size_t valid_ = 0; ///< past the header and the last ok record
     std::string_view header_;
     std::optional<Status> stuck_; ///< the status every next() repeats
     std::string err_;

@@ -138,10 +138,23 @@ TEST(IssueQueue, StaleWakeupIgnored)
     Scoreboard sb(16);
     IssueQueue iq("iq", 4, sb);
     iq.insert(makeDep(1, 3, 5));
+    sb.observe(3, 4);
     iq.wakeup(3, 4); // older epoch: not enough
     std::vector<DynInstPtr> sel;
     iq.selectIssue(4, [](const DynInst &) { return true; }, sel);
     EXPECT_TRUE(sel.empty());
+}
+
+TEST(IssueQueue, WakeupTheScoreboardHasNotSeenPanics)
+{
+    // The scoreboard is the queue's only readiness source, so a wakeup
+    // it has not observed would be lost: ExecDomain::localWakeup
+    // always observes first.
+    Scoreboard sb(16);
+    IssueQueue iq("iq", 4, sb);
+    iq.insert(makeDep(1, 3, 5));
+    sb.observe(3, 4);
+    EXPECT_DEATH(iq.wakeup(3, 5), "wakeup \\(3, 5\\) not observed");
 }
 
 TEST(IssueQueue, OldestFirstSelection)
@@ -199,9 +212,11 @@ namespace
 
 /**
  * Reference issue queue with the straightforward semantics the real
- * one must reproduce: every wakeup counts one match per entry x source
- * as it compares, and selection erases each issued entry from the
- * middle of the age-ordered vector.
+ * one must reproduce: every wakeup is a full CAM scan that counts one
+ * match per entry x source as it compares and sets the ready bits it
+ * matches (the real queue reads them from the scoreboard instead),
+ * and selection erases each issued entry from the middle of the
+ * age-ordered vector.
  */
 class RefIssueQueue
 {
@@ -355,10 +370,9 @@ TEST(IssueQueue, MatchesReferenceUnderRandomTraffic)
             } else if (op < 7) {
                 const auto reg = static_cast<PhysRegId>(pick(numRegs));
                 const std::uint32_t epoch = pick(6);
-                // Usually the scoreboard sees the value first, as in
-                // ExecDomain::localWakeup; sometimes it lags.
-                if (pick(4) != 0)
-                    sb.observe(reg, epoch);
+                // The scoreboard sees the value first, as in
+                // ExecDomain::localWakeup.
+                sb.observe(reg, epoch);
                 iq.wakeup(reg, epoch);
                 ref.wakeup(reg, epoch);
             } else if (op < 9) {

@@ -568,6 +568,32 @@ TEST_F(SnapshotDirTest, FlippedBitsNeverChangeARecord)
     }
 }
 
+TEST_F(SnapshotDirTest, OnlyTheCachedBufferSkipsTheChecksum)
+{
+    // The cache's own buffer restores without a second hash; a copy
+    // of it is untrusted bytes, so a flip in the copy is still caught
+    // by the checksum, as is the old buffer once the cache drops it.
+    const RunConfig cfg = warmCfg();
+    const auto bytes = acquireWarmupSnapshot(cfg);
+    std::string err;
+    {
+        Machine m(cfg);
+        EXPECT_TRUE(restoreWarmMachine(m.proc, cfg, *bytes, &err)) << err;
+    }
+    std::string copy = *bytes;
+    copy[copy.size() / 2] ^= 0x10;
+    {
+        Machine m(cfg);
+        EXPECT_FALSE(restoreWarmMachine(m.proc, cfg, copy, &err));
+        EXPECT_NE(err.find("checksum"), std::string::npos) << err;
+    }
+    clearSnapshotCache();
+    {
+        Machine m(cfg);
+        EXPECT_TRUE(restoreWarmMachine(m.proc, cfg, *bytes, &err)) << err;
+    }
+}
+
 TEST_F(SnapshotDirTest, StaleGarbageFileIsIgnored)
 {
     const RunConfig cfg = warmCfg();

@@ -110,6 +110,22 @@ const TrajectoryFormat allFormats[] = {TrajectoryFormat::jsonLines,
                                        TrajectoryFormat::csv,
                                        TrajectoryFormat::gtrj};
 
+/** Bytes after each record: text records end in '\n'. */
+std::size_t
+eolSize(TrajectoryFormat format)
+{
+    return format == TrajectoryFormat::gtrj ? 0 : 1;
+}
+
+/** Where the first record of @p buf starts: past the CSV header row
+ *  or the gtrj header, 0 for JSON lines or a failed header. */
+std::size_t
+headerEnd(std::string_view buf, TrajectoryFormat format)
+{
+    const std::string_view h = TrajectoryReader(buf, format).header();
+    return h.empty() ? 0 : h.size() + eolSize(format);
+}
+
 /** Everything a reader yields from @p buf. */
 struct Read
 {
@@ -117,7 +133,9 @@ struct Read
     std::vector<std::pair<std::size_t, std::string>> records;
     std::vector<TrajectoryRecord> fields;
     Status last = Status::ok;
-    std::size_t validBytes = 0;
+    /** The last ok record's offset plus its length (and '\n'), or the
+     *  header's end when no record was read. */
+    std::size_t recordsEnd = 0;
 };
 
 Read
@@ -132,17 +150,14 @@ readAll(std::string_view buf, TrajectoryFormat format)
              std::string(rec.raw)});
         out.fields.push_back(rec);
     }
-    out.validBytes = reader.validBytes();
+    out.recordsEnd = out.records.empty()
+                         ? headerEnd(buf, format)
+                         : out.records.back().first +
+                               out.records.back().second.size() +
+                               eolSize(format);
     TrajectoryRecord again;
     EXPECT_EQ(reader.next(again), out.last) << "status must stick";
     return out;
-}
-
-/** Bytes after each record: text records end in '\n'. */
-std::size_t
-eolSize(TrajectoryFormat format)
-{
-    return format == TrajectoryFormat::gtrj ? 0 : 1;
 }
 
 TEST(TrajectoryReader, ReadsEveryWriterFormatBack)
@@ -152,7 +167,7 @@ TEST(TrajectoryReader, ReadsEveryWriterFormatBack)
         const std::string file = seedFile(format);
         const Read read = readAll(file, format);
         EXPECT_EQ(read.last, Status::eof);
-        EXPECT_EQ(read.validBytes, file.size());
+        EXPECT_EQ(read.recordsEnd, file.size());
         ASSERT_EQ(read.fields.size(), 4u);
 
         const struct
@@ -204,14 +219,14 @@ TEST(TrajectoryReader, EmptyInputAndHeaderShapes)
               Status::bad);
     const Read headerOnly = readAll(h, TrajectoryFormat::gtrj);
     EXPECT_EQ(headerOnly.last, Status::eof);
-    EXPECT_EQ(headerOnly.validBytes, h.size());
+    EXPECT_EQ(headerOnly.recordsEnd, h.size());
 
     EXPECT_EQ(readAll("scenario,index", TrajectoryFormat::csv).last,
               Status::torn);
     const Read noIndex =
         readAll("scenario,seed\ns,1\n", TrajectoryFormat::csv);
     EXPECT_EQ(noIndex.last, Status::bad);
-    EXPECT_EQ(noIndex.validBytes, 0u);
+    EXPECT_EQ(noIndex.recordsEnd, 0u);
 }
 
 TEST(TrajectoryReader, CsvColumnsAreFoundByHeaderName)
@@ -240,7 +255,7 @@ TEST(TrajectoryReader, JsonLinesTornAndBad)
                               TrajectoryFormat::jsonLines);
     EXPECT_EQ(torn.records.size(), 1u);
     EXPECT_EQ(torn.last, Status::torn);
-    EXPECT_EQ(torn.validBytes, good.size());
+    EXPECT_EQ(torn.recordsEnd, good.size());
 
     for (const char *bad : {"not json\n", "{\"scenario\":\"s\"}\n",
                             "{\"scenario\":1,\"index\":0}\n",
@@ -272,8 +287,7 @@ TEST(TrajectoryReaderMutation, TruncationAtEveryOffsetReadsAPrefix)
         const std::string file = seedFile(format);
         const Read intact = readAll(file, format);
         const std::vector<std::size_t> ends = recordEnds(intact, format);
-        const std::size_t headerEnd = TrajectoryReader(file, format)
-                                          .validBytes();
+        const std::size_t fileHeaderEnd = headerEnd(file, format);
         for (std::size_t cut = 0; cut < file.size(); ++cut) {
             const std::string part = file.substr(0, cut);
             const Read read = readAll(part, format);
@@ -288,13 +302,13 @@ TEST(TrajectoryReaderMutation, TruncationAtEveryOffsetReadsAPrefix)
             // at a record boundary and calls anything else torn.
             const std::size_t boundary =
                 whole ? ends[whole - 1]
-                      : (cut >= headerEnd ? headerEnd : 0);
+                      : (cut >= fileHeaderEnd ? fileHeaderEnd : 0);
             const bool atBoundary =
                 cut == boundary &&
-                !(format == TrajectoryFormat::gtrj && cut < headerEnd);
+                !(format == TrajectoryFormat::gtrj && cut < fileHeaderEnd);
             ASSERT_EQ(read.last, atBoundary ? Status::eof : Status::torn)
                 << "cut " << cut;
-            ASSERT_EQ(read.validBytes, atBoundary ? cut : boundary)
+            ASSERT_EQ(read.recordsEnd, atBoundary ? cut : boundary)
                 << "cut " << cut;
         }
     }
@@ -357,7 +371,7 @@ TEST(TrajectoryReaderMutation, InflatedGtrjLengthEndsTheRecords)
             for (std::size_t j = 0; j < k; ++j)
                 EXPECT_EQ(read.records[j], intact.records[j]);
             EXPECT_NE(read.last, Status::eof);
-            EXPECT_EQ(read.validBytes, offset);
+            EXPECT_EQ(read.recordsEnd, offset);
         }
     }
 }
